@@ -8,8 +8,8 @@ stderr. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import evaluation, ingest, lm
@@ -24,7 +24,6 @@ from .romanizer import (
 from .scheme import (
     SchemeId,
     UnknownLetter,
-    UnknownScheme,
     convert_scheme,
     load_table,
 )
@@ -156,14 +155,20 @@ def _cmd_romanize(args) -> int:
         max_candidates=args.max_candidates,
     )
     out = []
+    failed = False
     for raw in sys.stdin.read().split():
-        word = OTWord.from_text(raw, table)
-        ranked = romanize(
-            word, table, lexicon, exceptions, model, limits, alpha=args.alpha
-        )
+        try:
+            word = OTWord.from_text(raw, table)
+            ranked = romanize(
+                word, table, lexicon, exceptions, model, limits, alpha=args.alpha
+            )
+        except (UnknownLetter, ValueError) as exc:
+            print(f"otkit: {raw}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed = True
+            continue
         out.append("\t".join([raw, *[c.surface for c in ranked[: args.top]]]))
     sys.stdout.write("\n".join(out) + ("\n" if out else ""))
-    return 0
+    return 2 if failed else 0
 
 
 def _cmd_lm_train(args) -> int:
@@ -244,6 +249,10 @@ def _cmd_prepare(args) -> int:
     reverse = not args.no_reverse
     if args.manifest:
         manifest = ingest.load_manifest(args.manifest)
+        stems = Counter(Path(entry.page_file).stem for entry in manifest.entries)
+        shared = sorted(stem for stem, n in stems.items() if n > 1)
+        if shared:
+            raise ValueError(f"pages share an output name: {', '.join(shared)}")
         base = Path(args.manifest).parent
         for entry in manifest.entries:
             _prepare_one(
@@ -281,20 +290,8 @@ _COMMANDS = {
     "split": _cmd_split,
 }
 
-_DATA_ERRORS = (
-    UnknownLetter,
-    UnknownScheme,
-    ingest.MalformedXml,
-    ingest.UnsupportedSchema,
-    ingest.LineCountMismatch,
-    ingest.EmptyManifest,
-    evaluation.EmptyReference,
-    lm.EmptyCorpus,
-    FileNotFoundError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
-    ValueError,
-)
+# Every other data error otkit raises is a ValueError.
+_DATA_ERRORS = (UnknownLetter, OSError, ValueError)
 
 
 def run(argv: list[str]) -> int:

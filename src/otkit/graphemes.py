@@ -12,6 +12,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Iterable
 
 import regex
@@ -43,7 +44,6 @@ class GraphemeLine:
     """A line of text as a sequence of extended grapheme clusters (NFC)."""
 
     graphemes: tuple[str, ...]
-    source_normalization: bool = True
 
     def __len__(self) -> int:
         return len(self.graphemes)
@@ -65,36 +65,17 @@ def segment_line(text: str) -> GraphemeLine:
     return GraphemeLine(tuple(_GRAPHEME_RE.findall(normalized)))
 
 
-def _is_digit(grapheme: str) -> bool:
-    return all(ch in _DIGITS for ch in grapheme) and bool(grapheme)
-
-
 def segment_runs(line: GraphemeLine) -> list[RunSegment]:
     """Partition a line into maximal digit runs and reversible spans."""
     runs: list[RunSegment] = []
-    for i, g in enumerate(line.graphemes):
-        kind = RunKind.DIGIT_RUN if _is_digit(g) else RunKind.REVERSIBLE
-        if runs and runs[-1].kind is kind:
-            runs[-1] = RunSegment(kind, runs[-1].start, i + 1)
-        else:
-            runs.append(RunSegment(kind, i, i + 1))
+    start = 0
+    # Digits never share a grapheme cluster with one another, so a digit
+    # grapheme is a single code point of _DIGITS.
+    for is_digit, group in groupby(line.graphemes, _DIGITS.__contains__):
+        end = start + sum(1 for _ in group)
+        runs.append(RunSegment(RunKind.DIGIT_RUN if is_digit else RunKind.REVERSIBLE, start, end))
+        start = end
     return runs
-
-
-def _rereverse_digit_runs(graphemes: list[str]) -> list[str]:
-    out = list(graphemes)
-    i = 0
-    n = len(out)
-    while i < n:
-        if _is_digit(out[i]):
-            j = i
-            while j < n and _is_digit(out[j]):
-                j += 1
-            out[i:j] = reversed(out[i:j])
-            i = j
-        else:
-            i += 1
-    return out
 
 
 def reverse_line(text: str, opts: ReversalOptions = ReversalOptions()) -> str:
@@ -105,10 +86,14 @@ def reverse_line(text: str, opts: ReversalOptions = ReversalOptions()) -> str:
     Applying the function twice returns the NFC form of the input.
     """
     line = segment_line(text)
-    reversed_graphemes = list(reversed(line.graphemes))
     if opts.preserve_digit_runs:
-        reversed_graphemes = _rereverse_digit_runs(reversed_graphemes)
-    result = "".join(reversed_graphemes)
+        pieces = []
+        for run in reversed(segment_runs(line)):
+            piece = line.graphemes[run.start : run.end]
+            pieces.extend(piece if run.kind is RunKind.DIGIT_RUN else reversed(piece))
+        result = "".join(pieces)
+    else:
+        result = "".join(reversed(line.graphemes))
     if opts.mirror_brackets:
         result = result.translate(_BRACKET_MIRROR)
     return result

@@ -65,11 +65,6 @@ class PageDocument:
 
 
 @dataclass(frozen=True)
-class GroundTruthPolicy:
-    preserve_errors: bool = True  # forbids any orthographic correction pass
-
-
-@dataclass(frozen=True)
 class PairedLine:
     line_id: str
     region_id: str
@@ -165,15 +160,10 @@ def load_transcript(path: Path | str) -> list[str]:
     return [line for line in text.split("\n") if line.strip() != ""]
 
 
-def pair_ground_truth(
-    doc: PageDocument,
-    transcript: Sequence[str],
-    policy: GroundTruthPolicy = GroundTruthPolicy(),
-) -> list[PairedLine]:
+def pair_ground_truth(doc: PageDocument, transcript: Sequence[str]) -> list[PairedLine]:
     """Pair document lines with transcript lines in reading order.
 
-    With preserve_errors the text passes through verbatim (modulo NFC); typos
-    stay typos.
+    The text passes through verbatim (modulo NFC); typos stay typos.
     """
     pairs = []
     doc_lines = [

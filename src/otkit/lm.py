@@ -12,7 +12,7 @@ import json
 import math
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,41 +35,35 @@ def tokenize(line: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class CharNgramModel:
+class _AddK:
+    """Add-k smoothed n-gram counts over words, or over the characters of words.
+
+    P(t | h) = (c(h, t) + k) / (c(h) + k * (|V| + 1)); the history totals c(h)
+    are summed once, when the model is built.
+    """
+
     order: int
     counts: dict[tuple[str, ...], Counter]
     vocab: frozenset[str]
     k: float
+    _totals: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
 
-    def logprob(self, word: str) -> float:
-        chars = [_CHAR_BOS] * (self.order - 1) + list(word) + [_CHAR_EOS]
-        total = 0.0
-        denom_extra = self.k * (len(self.vocab) + 1)
-        for i in range(self.order - 1, len(chars)):
-            history = tuple(chars[i - self.order + 1 : i])
-            counter = self.counts.get(history)
-            seen = sum(counter.values()) if counter else 0
-            count = counter.get(chars[i], 0) if counter else 0
-            total += math.log((count + self.k) / (seen + denom_extra))
-        return total
+    def __post_init__(self):
+        totals = {history: sum(counter.values()) for history, counter in self.counts.items()}
+        object.__setattr__(self, "_totals", totals)
+
+    def prob(self, history: Sequence[str], token: str) -> float:
+        """Add-k probability of a token (or UNK) given the last order-1 symbols of history."""
+        h = tuple(history[-(self.order - 1) :]) if self.order > 1 else ()
+        counter = self.counts.get(h)
+        count = counter.get(token, 0) if counter else 0
+        return (count + self.k) / (self._totals.get(h, 0) + self.k * (len(self.vocab) + 1))
 
 
 @dataclass(frozen=True)
-class NgramModel:
-    order: int
-    counts: dict[tuple[str, ...], Counter]
-    vocab: frozenset[str]
-    k: float
-    char_backoff: CharNgramModel
+class NgramModel(_AddK):
+    char_backoff: _AddK
     backoff_weight: float
-
-    def prob(self, history: Sequence[str], word: str) -> float:
-        """Add-k probability of an in-vocabulary word (or UNK) given a history."""
-        h = tuple(history[-(self.order - 1) :]) if self.order > 1 else ()
-        counter = self.counts.get(h)
-        seen = sum(counter.values()) if counter else 0
-        count = counter.get(word, 0) if counter else 0
-        return (count + self.k) / (seen + self.k * (len(self.vocab) + 1))
 
     def token_logprob(self, history: Sequence[str], token: str) -> float:
         if token in self.vocab:
@@ -77,20 +71,28 @@ class NgramModel:
         return (
             math.log(self.prob(history, UNK))
             + math.log(self.backoff_weight)
-            + self.char_backoff.logprob(token)
+            + _spelling_logprob(self.char_backoff, token)
         )
 
 
-def _train_char_model(words: Iterable[str], order: int, k: float) -> CharNgramModel:
+def _spelling_logprob(chars: _AddK, word: str) -> float:
+    padded = (_CHAR_BOS,) * (chars.order - 1) + tuple(word) + (_CHAR_EOS,)
+    total = 0.0
+    for i in range(chars.order - 1, len(padded)):
+        total += math.log(chars.prob(padded[:i], padded[i]))
+    return total
+
+
+def _count(
+    sequences: Iterable[Sequence[str]], order: int, pad: str
+) -> dict[tuple[str, ...], Counter]:
+    """Count every n-gram of each sequence after left-padding it with order-1 `pad`s."""
     counts: dict[tuple[str, ...], Counter] = {}
-    vocab: set[str] = set()
-    for word in words:
-        chars = [_CHAR_BOS] * (order - 1) + list(word) + [_CHAR_EOS]
-        vocab.update(word)
-        for i in range(order - 1, len(chars)):
-            history = tuple(chars[i - order + 1 : i])
-            counts.setdefault(history, Counter())[chars[i]] += 1
-    return CharNgramModel(order=order, counts=counts, vocab=frozenset(vocab), k=k)
+    for sequence in sequences:
+        padded = (pad,) * (order - 1) + tuple(sequence)
+        for i in range(order - 1, len(padded)):
+            counts.setdefault(padded[i - order + 1 : i], Counter())[padded[i]] += 1
+    return counts
 
 
 def train(
@@ -108,26 +110,19 @@ def train(
     if not 0 < backoff_weight < 1:
         raise ValueError("backoff weight must be in (0, 1)")
 
-    counts: dict[tuple[str, ...], Counter] = {}
-    all_tokens: list[str] = []
-    for line in corpus:
-        tokens = tokenize(line)
-        if not tokens:
-            continue
-        all_tokens.extend(tokens)
-        padded = [BOS] * (order - 1) + tokens
-        for i in range(order - 1, len(padded)):
-            history = tuple(padded[i - order + 1 : i])
-            counts.setdefault(history, Counter())[padded[i]] += 1
-    if not all_tokens:
+    lines = [tokens for tokens in map(tokenize, corpus) if tokens]
+    if not lines:
         raise EmptyCorpus("no tokens after whitespace tokenization")
-
+    vocab = frozenset(token for tokens in lines for token in tokens)
+    words = (token + _CHAR_EOS for tokens in lines for token in tokens)
     return NgramModel(
         order=order,
-        counts=counts,
-        vocab=frozenset(all_tokens),
+        counts=_count(lines, order, BOS),
+        vocab=vocab,
         k=k,
-        char_backoff=_train_char_model(all_tokens, char_order, k),
+        char_backoff=_AddK(
+            char_order, _count(words, char_order, _CHAR_BOS), frozenset("".join(vocab)), k
+        ),
         backoff_weight=backoff_weight,
     )
 
@@ -184,34 +179,42 @@ def rescore(candidates, model: NgramModel, config: RescoreConfig = RescoreConfig
     return rescored
 
 
-def _counts_to_json(counts: dict[tuple[str, ...], Counter]) -> dict:
+def _to_json(model: _AddK) -> dict:
     return {
-        _KEY_SEP.join(history): dict(sorted(counter.items()))
-        for history, counter in sorted(counts.items())
+        "order": model.order,
+        "k": model.k,
+        "vocab": sorted(model.vocab),
+        "counts": {
+            _KEY_SEP.join(history): dict(sorted(counter.items()))
+            for history, counter in sorted(model.counts.items())
+        },
     }
 
 
-def _counts_from_json(data: dict) -> dict[tuple[str, ...], Counter]:
-    return {
-        tuple(key.split(_KEY_SEP)) if key else (): Counter(value)
-        for key, value in data.items()
-    }
+_JSON_TYPES = {"order": int, "k": (int, float), "vocab": list, "counts": dict}
+
+
+def _from_json(data, cls: type[_AddK] = _AddK, **extra) -> _AddK:
+    if not isinstance(data, dict) or any(
+        not isinstance(data.get(key), kind) for key, kind in _JSON_TYPES.items()
+    ):
+        raise ValueError(f"malformed model file: needs {', '.join(_JSON_TYPES)}")
+    try:
+        counts = {
+            tuple(key.split(_KEY_SEP)) if key else (): Counter(value)
+            for key, value in data["counts"].items()
+        }
+        return cls(data["order"], counts, frozenset(data["vocab"]), data["k"], **extra)
+    except TypeError as exc:
+        raise ValueError(f"malformed model file: {exc}") from exc
 
 
 def save(model: NgramModel, path: Path | str) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
-        "order": model.order,
-        "k": model.k,
         "backoff_weight": model.backoff_weight,
-        "vocab": sorted(model.vocab),
-        "counts": _counts_to_json(model.counts),
-        "char_backoff": {
-            "order": model.char_backoff.order,
-            "k": model.char_backoff.k,
-            "vocab": sorted(model.char_backoff.vocab),
-            "counts": _counts_to_json(model.char_backoff.counts),
-        },
+        **_to_json(model),
+        "char_backoff": _to_json(model.char_backoff),
     }
     Path(path).write_text(
         json.dumps(payload, ensure_ascii=False, sort_keys=True), "utf-8"
@@ -220,20 +223,15 @@ def save(model: NgramModel, path: Path | str) -> None:
 
 def load(path: Path | str) -> NgramModel:
     payload = json.loads(Path(path).read_text("utf-8"))
-    version = payload.get("format_version")
+    version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version}")
-    char = payload["char_backoff"]
-    return NgramModel(
-        order=payload["order"],
-        counts=_counts_from_json(payload["counts"]),
-        vocab=frozenset(payload["vocab"]),
-        k=payload["k"],
-        char_backoff=CharNgramModel(
-            order=char["order"],
-            counts=_counts_from_json(char["counts"]),
-            vocab=frozenset(char["vocab"]),
-            k=char["k"],
-        ),
-        backoff_weight=payload["backoff_weight"],
+    weight = payload.get("backoff_weight")
+    if not isinstance(weight, float):
+        raise ValueError("malformed model file: needs backoff_weight")
+    return _from_json(
+        payload,
+        NgramModel,
+        char_backoff=_from_json(payload.get("char_backoff")),
+        backoff_weight=weight,
     )

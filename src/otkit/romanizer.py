@@ -50,6 +50,12 @@ def _last_vowel(word: str) -> Optional[str]:
     return None
 
 
+def _strip_marks(text: str) -> str:
+    """NFC-normalize and drop vocalization marks, which carry no letter of their own."""
+    normalized = unicodedata.normalize("NFC", text)
+    return "".join(ch for ch in normalized if unicodedata.category(ch) != "Mn")
+
+
 @dataclass(frozen=True)
 class OTWord:
     """An Arabic-script word in logical (reading) order, NFC-normalized."""
@@ -62,15 +68,11 @@ class OTWord:
 
     @classmethod
     def from_text(cls, text: str, table: SchemeTable) -> "OTWord":
-        normalized = unicodedata.normalize("NFC", text)
-        letters = []
-        for ch in normalized:
-            if unicodedata.category(ch) == "Mn":
-                continue  # vocalization marks carry no letter of their own
+        letters = tuple(_strip_marks(text))
+        for ch in letters:
             if ch not in table.ot_to_latin:
                 raise UnknownLetter(ch)
-            letters.append(ch)
-        return cls(tuple(letters))
+        return cls(letters)
 
     @property
     def text(self) -> str:
@@ -213,7 +215,7 @@ class ExceptionLexicon:
             if not line or line.startswith("#"):
                 continue
             ot, mt = line.split("\t", 1)
-            key = unicodedata.normalize("NFC", ot.strip())
+            key = _strip_marks(ot.strip())
             entries[key] = unicodedata.normalize("NFC", mt.strip())
         return cls(entries)
 
@@ -337,8 +339,8 @@ def strip_affixes(surface: str, lexicon: Lexicon) -> set[tuple[str, tuple[str, .
     return results
 
 
-def _affix_by_name(name: str, lexicon: Lexicon) -> Affix:
-    for affix in lexicon.affixes:
+def _affix_by_name(name: str, affixes: tuple[Affix, ...]) -> Affix:
+    for affix in affixes:
         if affix.name == name:
             return affix
     raise KeyError(name)
@@ -354,13 +356,10 @@ def apply_harmony(stem: str, chain: Iterable[str | Affix], lexicon: Lexicon | No
     word = stem
     if _last_vowel(word) is None:
         raise NoVowelInStem(stem)
+    affixes = lexicon.affixes if lexicon is not None else DEFAULT_AFFIXES
     for item in chain:
-        if isinstance(item, Affix):
-            template = item.template
-        elif lexicon is not None:
-            template = _affix_by_name(item, lexicon).template
-        else:
-            template = _affix_by_name(item, Lexicon(frozenset())).template
+        affix = item if isinstance(item, Affix) else _affix_by_name(item, affixes)
+        template = affix.template
         if template.startswith("("):
             close = template.index(")")
             optional, template = template[1:close], template[close + 1 :]

@@ -56,6 +56,28 @@ class TestUsageErrors:
         assert err != ""
 
 
+class TestDataErrors:
+    def test_model_without_char_backoff(self, tmp_path, monkeypatch, capsys):
+        corpus, model = tmp_path / "corpus.txt", tmp_path / "model.json"
+        corpus.write_text("amele geldi\n", "utf-8")
+        invoke(monkeypatch, capsys, ["lm-train", str(corpus), "-o", str(model)])
+        payload = json.loads(model.read_text("utf-8"))
+        del payload["char_backoff"]
+        model.write_text(json.dumps(payload), "utf-8")
+        code, out, err = invoke(
+            monkeypatch, capsys, ["lm-score", "--model", str(model)], stdin="amele\n"
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed model file" in err
+
+    def test_directory_as_input(self, tmp_path, monkeypatch, capsys):
+        code, out, err = invoke(monkeypatch, capsys, ["reverse", "-i", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("otkit: ")
+
+
 class TestConvert:
     def test_ia_to_loose(self, monkeypatch, capsys):
         code, out, _ = invoke(
@@ -126,6 +148,15 @@ class TestRomanizeCommand:
         assert out.split("\n")[0].split("\t") == ["خواجه", "hoca"]
 
 
+    def test_unknown_letter_fails_only_its_word(self, monkeypatch, capsys):
+        code, out, err = invoke(
+            monkeypatch, capsys, ["romanize", "--top", "1"], stdin="كلدی abc خواجه\n"
+        )
+        assert code == 2
+        assert [line.split("\t")[0] for line in out.splitlines()] == ["كلدی", "خواجه"]
+        assert err.splitlines() == ["otkit: abc: UnknownLetter: 'a'"]
+
+
 class TestPrepareAndSplit:
     def _write_corpus(self, tmp_path):
         (tmp_path / "p1.xml").write_text(PAGE, "utf-8")
@@ -147,6 +178,23 @@ class TestPrepareAndSplit:
         )
         assert code == 0
         assert (out_dir / "p1.txt").read_text("utf-8") == "ñuruvag\n12 afyas\n"
+
+    def test_shared_page_stem_is_refused(self, tmp_path, monkeypatch, capsys):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "p1.xml").write_text(PAGE, "utf-8")
+            (tmp_path / sub / "t1.txt").write_text("gavuruñ\nsayfa 12\n", "utf-8")
+        manifest = {"entries": [{"page": f"{sub}/p1.xml", "transcript": f"{sub}/t1.txt"}
+                                for sub in ("a", "b")]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = invoke(
+            monkeypatch, capsys,
+            ["prepare", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out_dir)],
+        )
+        assert code == 2
+        assert "p1" in err
+        assert not out_dir.exists()
 
     def test_mismatch_is_data_error(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "p1.xml").write_text(PAGE, "utf-8")

@@ -7,7 +7,6 @@ from otkit.graphemes import reverse_line
 from otkit.ingest import (
     CorpusManifest,
     EmptyManifest,
-    GroundTruthPolicy,
     LineCountMismatch,
     MalformedXml,
     ManifestEntry,
@@ -112,7 +111,7 @@ class TestPairGroundTruth:
 
     def test_typo_preserved_verbatim(self, doc):
         # "hyats" and "bitdi" are transcriber-preserved source typos
-        pairs = pair_ground_truth(doc, self.TRANSCRIPT, GroundTruthPolicy(preserve_errors=True))
+        pairs = pair_ground_truth(doc, self.TRANSCRIPT)
         assert pairs[4].text == "hyats bir tipo"
         assert pairs[0].text == "gavuruñ bitdi"
 

@@ -3,6 +3,7 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otkit import lm
 from otkit.lm import EmptyCorpus, RescoreConfig, UNK
@@ -91,6 +92,56 @@ class TestScore:
         assert after.prob((), "a") >= before.prob((), "a") or math.isclose(
             after.prob((), "a"), before.prob((), "a")
         )
+
+
+def brute_force_score(corpus, tokens, order, char_order, k, weight):
+    """Score `tokens` by recounting every n-gram of the corpus for each probability."""
+    lines = [line.split() for line in corpus if line.split()]
+    vocab = {t for line in lines for t in line}
+
+    def ngrams(sequence, n, pad):
+        padded = [pad] * (n - 1) + list(sequence)
+        return [(tuple(padded[i - n + 1 : i]), padded[i]) for i in range(n - 1, len(padded))]
+
+    def add_k(events, history, token, vocab_size):
+        seen = [t for h, t in events if h == history]
+        return (seen.count(token) + k) / (len(seen) + k * (vocab_size + 1))
+
+    # None pads the start of a sequence; "" ends a word.
+    words = [g for line in lines for g in ngrams(line, order, None)]
+    chars = [g for line in lines for t in line for g in ngrams([*t, ""], char_order, None)]
+    char_vocab = len(set("".join(vocab)))
+    total = 0.0
+    history = [None] * (order - 1)
+    for token in tokens:
+        h = tuple(history[len(history) - order + 1 :]) if order > 1 else ()
+        if token in vocab:
+            total += math.log(add_k(words, h, token, len(vocab)))
+        else:
+            spelling = 0.0
+            for ch_h, ch in ngrams([*token, ""], char_order, None):
+                spelling += math.log(add_k(chars, ch_h, ch, char_vocab))
+            total += math.log(add_k(words, h, UNK, len(vocab))) + math.log(weight) + spelling
+        history.append(token)
+    return total
+
+
+_TOKEN = st.text(alphabet="abç", min_size=1, max_size=4)
+
+
+class TestAgainstRecount:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corpus=st.lists(st.lists(_TOKEN, min_size=1, max_size=5).map(" ".join), min_size=1, max_size=6),
+        tokens=st.lists(st.text(alphabet="abçd", min_size=1, max_size=4), min_size=1, max_size=5),
+        order=st.integers(1, 3),
+        char_order=st.integers(1, 3),
+        k=st.sampled_from([0.1, 0.5, 2.0]),
+    )
+    def test_score_matches_brute_force(self, corpus, tokens, order, char_order, k):
+        model = lm.train(corpus, order=order, char_order=char_order, k=k, backoff_weight=0.3)
+        expected = brute_force_score(corpus, tokens, order, char_order, k, 0.3)
+        assert abs(lm.score(model, tokens) - expected) <= 1e-12
 
 
 class TestPerplexity:

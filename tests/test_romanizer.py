@@ -218,6 +218,13 @@ class TestLexiconIO:
         exc = ExceptionLexicon.from_file(exc_file)
         assert exc.entries == {"خواجه": "hoca"}
 
+    def test_vocalized_exception_key_matches(self, tmp_path, table):
+        exc_file = tmp_path / "exc.tsv"
+        exc_file.write_text("خواجَه\thoca\n", "utf-8")
+        exc = ExceptionLexicon.from_file(exc_file)
+        for spelling in ("خواجه", "خواجَه"):
+            assert exc.lookup(OTWord.from_text(spelling, table)) == "hoca"
+
     def test_unknown_tag_rejected(self, tmp_path):
         lex_file = tmp_path / "lex.txt"
         lex_file.write_text("hoca\tbogus\n", "utf-8")
