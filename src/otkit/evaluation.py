@@ -62,44 +62,64 @@ class Alignment:
 def levenshtein_align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
     """Minimal unit-cost alignment with deterministic traceback.
 
+    The distances come from the bit-parallel edit distance of Myers (1999,
+    J. ACM 46(3)) in the global form of Hyyrö (2001): one bit per reference
+    position, and for each hypothesis column j the pair (pv, mv) of integers
+    whose bits mark the +1 and -1 vertical deltas D[i][j] - D[i-1][j]. Any
+    cell is then D[i][j] = j + popcount(pv & low_i) - popcount(mv & low_i),
+    with low_i = 2**i - 1, so no matrix is stored. The forward pass costs
+    O(len(hyp) * ceil(len(ref) / w)) word operations for a word of w bits,
+    the traceback O(len(ref) + len(hyp)).
+
     Ties are broken preferring Match > Substitute > Delete > Insert.
     """
     n, m = len(ref), len(hyp)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        row, prev = dist[i], dist[i - 1]
-        for j in range(1, m + 1):
-            same = ref[i - 1] == hyp[j - 1]
-            row[j] = min(
-                prev[j - 1] + (0 if same else 1),
-                prev[j] + 1,
-                row[j - 1] + 1,
-            )
+    peq: dict[str, int] = {}
+    for i, g in enumerate(ref):
+        peq[g] = peq.get(g, 0) | (1 << i)
+    full = (1 << n) - 1
+    pv, mv = full, 0
+    cols = [(pv, mv)]
+    for g in hyp:
+        eq = peq.get(g, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        # Row 0 is D[0][j] = j, so a +1 horizontal delta enters at the bottom.
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+        cols.append((pv, mv))
 
     ops: list[AlignmentStep] = []
     i, j = n, m
+    d = m + pv.bit_count() - mv.bit_count()  # D[i][j]; each step but a match lowers it by 1
     s = ins = dele = matches = 0
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and dist[i][j] == dist[i - 1][j - 1]:
-            ops.append(AlignmentStep(EditOp.MATCH, ref[i - 1], hyp[j - 1]))
-            matches += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + 1:
-            ops.append(AlignmentStep(EditOp.SUBSTITUTE, ref[i - 1], hyp[j - 1]))
-            s += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+        if i > 0 and j > 0:
+            # Equal graphemes always give D[i][j] == D[i-1][j-1].
+            if ref[i - 1] == hyp[j - 1]:
+                ops.append(AlignmentStep(EditOp.MATCH, ref[i - 1], hyp[j - 1]))
+                matches += 1
+                i, j = i - 1, j - 1
+                continue
+            # Substitute iff D[i][j] == D[i-1][j-1] + 1, read from column j - 1.
+            prev_pv, prev_mv = cols[j - 1]
+            low = (1 << (i - 1)) - 1
+            if d == j + (prev_pv & low).bit_count() - (prev_mv & low).bit_count():
+                ops.append(AlignmentStep(EditOp.SUBSTITUTE, ref[i - 1], hyp[j - 1]))
+                s += 1
+                i, j, d = i - 1, j - 1, d - 1
+                continue
+        if i > 0 and cols[j][0] >> (i - 1) & 1:
             ops.append(AlignmentStep(EditOp.DELETE, ref[i - 1], None))
             dele += 1
-            i -= 1
+            i, d = i - 1, d - 1
         else:
             ops.append(AlignmentStep(EditOp.INSERT, None, hyp[j - 1]))
             ins += 1
-            j -= 1
+            j, d = j - 1, d - 1
     ops.reverse()
     return Alignment(tuple(ops), s, ins, dele, matches)
 
@@ -207,8 +227,9 @@ def corpus_report(
 ) -> EvalReport:
     """Per-document micro CER/WER plus pooled totals.
 
-    Documents whose line counts differ are reported as skipped and excluded
-    from the totals rather than aborting the run.
+    Documents whose line counts differ, or whose reference holds nothing but
+    whitespace, are reported as skipped and excluded from the totals rather
+    than aborting the run.
     """
     rows = []
     skipped = []
@@ -219,14 +240,15 @@ def corpus_report(
             )
             continue
         ce, ct, we, wt = document_counts(ref_lines, hyp_lines)
-        if ct == 0:
+        # No word tokens means no graphemes or only whitespace ones.
+        if wt == 0:
             skipped.append((meta, "empty reference"))
             continue
         rows.append(
             DocumentRow(
                 meta=meta,
                 cer=ce / ct,
-                wer=we / wt if wt else 0.0,
+                wer=we / wt,
                 char_edits=ce,
                 char_total=ct,
                 word_edits=we,

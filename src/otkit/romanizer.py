@@ -31,6 +31,10 @@ _VOICELESS_FINALS = frozenset("çfhkpsşt")
 
 _LONG_VOWEL_BASE = {"â": "a", "î": "i", "û": "u"}
 
+# Turkish dotted/dotless capitals, mapped before str.lower(): its default
+# turns "I" into "i" and "İ" into "i" plus a combining dot above.
+_TURKISH_CAPITALS = str.maketrans({"I": "ı", "İ": "i"})
+
 INSERTION_PENALTY = 0.5
 
 
@@ -48,6 +52,10 @@ def _last_vowel(word: str) -> Optional[str]:
         if base in _BACK_VOWELS or base in _FRONT_VOWELS:
             return base
     return None
+
+
+def _lower(text: str) -> str:
+    return text.translate(_TURKISH_CAPITALS).lower()
 
 
 def _strip_marks(text: str) -> str:
@@ -189,15 +197,15 @@ class Lexicon:
             if "\t" in line:
                 word, tag = line.split("\t", 1)
                 if tag.strip() == "full":
-                    fulls.add(unicodedata.normalize("NFC", word.strip()).lower())
+                    fulls.add(_lower(unicodedata.normalize("NFC", word.strip())))
                 else:
                     raise ValueError(f"unknown lexicon tag: {tag!r}")
             else:
-                stems.add(unicodedata.normalize("NFC", line).lower())
+                stems.add(_lower(unicodedata.normalize("NFC", line)))
         return cls(frozenset(stems), frozenset(fulls), affixes)
 
     def contains(self, surface: str) -> bool:
-        word = surface.lower()
+        word = _lower(surface)
         return word in self.stems or word in self.full_forms
 
 
@@ -210,10 +218,12 @@ class ExceptionLexicon:
     @classmethod
     def from_file(cls, path: Path | str) -> "ExceptionLexicon":
         entries = {}
-        for raw in Path(path).read_text("utf-8").splitlines():
+        for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            if "\t" not in line:
+                raise ValueError(f"{path}:{lineno}: expected OT word<TAB>reading")
             ot, mt = line.split("\t", 1)
             key = _strip_marks(ot.strip())
             entries[key] = unicodedata.normalize("NFC", mt.strip())
@@ -320,7 +330,7 @@ def strip_affixes(surface: str, lexicon: Lexicon) -> set[tuple[str, tuple[str, .
     segmentation counts only if the remaining stem is an attested stem or full
     form. Chains are returned in application order.
     """
-    word = surface.lower()
+    word = _lower(surface)
     results: set[tuple[str, tuple[str, ...]]] = set()
     seen: set[tuple[str, tuple[str, ...]]] = set()
 
@@ -395,7 +405,7 @@ def check_vowel_harmony(word: str) -> bool:
     rounding additionally checked for high vowels."""
     vowels = [
         _LONG_VOWEL_BASE.get(ch, ch)
-        for ch in word.lower()
+        for ch in _lower(word)
         if _LONG_VOWEL_BASE.get(ch, ch) in _BACK_VOWELS | _FRONT_VOWELS
     ]
     for prev, cur in zip(vowels, vowels[1:]):

@@ -118,6 +118,26 @@ class TestEval:
         assert code == 2
         assert err != ""
 
+    def _write_docs(self, tmp_path, docs):
+        for side in ("ref", "hyp"):
+            (tmp_path / side).mkdir()
+            for name, text in docs.items():
+                (tmp_path / side / f"{name}.txt").write_text(text, "utf-8")
+        return ["eval", "--ref", str(tmp_path / "ref"), "--hyp", str(tmp_path / "hyp")]
+
+    def test_whitespace_only_reference_is_skipped(self, tmp_path, monkeypatch, capsys):
+        argv = self._write_docs(tmp_path, {"blank": "  \n\t\n", "text": "gavuruñ\n"})
+        code, out, err = invoke(monkeypatch, capsys, argv)
+        assert code == 0
+        assert "text" in out
+        assert "skipped blank: empty reference" in err
+
+    def test_whitespace_only_reference_alone_is_data_error(self, tmp_path, monkeypatch, capsys):
+        argv = self._write_docs(tmp_path, {"blank": "  \n\t\n"})
+        code, _, err = invoke(monkeypatch, capsys, argv)
+        assert code == 2
+        assert err.splitlines() == ["skipped blank: empty reference"]
+
 
 class TestLmRoundTrip:
     def test_train_then_score(self, tmp_path, monkeypatch, capsys):
@@ -146,6 +166,16 @@ class TestRomanizeCommand:
         )
         assert code == 0
         assert out.split("\n")[0].split("\t") == ["خواجه", "hoca"]
+
+    def test_exception_line_without_tab_names_file_and_line(self, tmp_path, monkeypatch, capsys):
+        exceptions = tmp_path / "exc.tsv"
+        exceptions.write_text("خواجه hoca\n", "utf-8")
+        code, _, err = invoke(
+            monkeypatch, capsys,
+            ["romanize", "--exceptions", str(exceptions)], stdin="خواجه\n",
+        )
+        assert code == 2
+        assert f"{exceptions}:1:" in err
 
 
     def test_unknown_letter_fails_only_its_word(self, monkeypatch, capsys):

@@ -1,9 +1,12 @@
 import functools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otkit.evaluation import (
+    Alignment,
+    AlignmentStep,
     DocumentMeta,
     EditOp,
     EmptyReference,
@@ -27,6 +30,58 @@ def brute_force_distance(ref: str, hyp: str) -> int:
         return min(d(i + 1, j + 1) + same, d(i + 1, j) + 1, d(i, j + 1) + 1)
 
     return d(0, 0)
+
+
+def matrix_align(ref, hyp) -> Alignment:
+    """Reference implementation: the full (n+1) x (m+1) matrix and the same
+    traceback, ties broken Match > Substitute > Delete > Insert."""
+    n, m = len(ref), len(hyp)
+    dist = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dist[i][0] = i
+    for j in range(1, m + 1):
+        dist[0][j] = j
+    for i in range(1, n + 1):
+        row, prev = dist[i], dist[i - 1]
+        for j in range(1, m + 1):
+            same = ref[i - 1] == hyp[j - 1]
+            row[j] = min(
+                prev[j - 1] + (0 if same else 1),
+                prev[j] + 1,
+                row[j - 1] + 1,
+            )
+
+    ops = []
+    i, j = n, m
+    s = ins = dele = matches = 0
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and dist[i][j] == dist[i - 1][j - 1]:
+            ops.append(AlignmentStep(EditOp.MATCH, ref[i - 1], hyp[j - 1]))
+            matches += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + 1:
+            ops.append(AlignmentStep(EditOp.SUBSTITUTE, ref[i - 1], hyp[j - 1]))
+            s += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            ops.append(AlignmentStep(EditOp.DELETE, ref[i - 1], None))
+            dele += 1
+            i -= 1
+        else:
+            ops.append(AlignmentStep(EditOp.INSERT, None, hyp[j - 1]))
+            ins += 1
+            j -= 1
+    ops.reverse()
+    return Alignment(tuple(ops), s, ins, dele, matches)
+
+
+@st.composite
+def small_alphabet_pairs(draw):
+    """Sequences over 2-5 symbols, so ties are frequent, up to 80 long, so the
+    bit vectors span several machine words."""
+    alphabet = draw(st.sampled_from(["ab", "abc", "abcd", "abcde"]))
+    seq = st.lists(st.sampled_from(alphabet), max_size=80)
+    return draw(seq), draw(seq)
 
 
 short_strings = st.text(alphabet="abcde", max_size=12)
@@ -77,6 +132,29 @@ class TestLevenshteinAlign:
     def test_replay_reproduces_hypothesis(self, a, b):
         align = levenshtein_align(list(a), list(b))
         assert "".join(align.replay()) == b
+
+    @settings(max_examples=300)
+    @given(small_alphabet_pairs())
+    @example(([], []))
+    @example(([], list("ab" * 40)))
+    @example((list("abc" * 26), []))
+    @example((list("ab" * 35), list("ba" * 33)))
+    def test_equals_matrix_alignment(self, pair):
+        ref, hyp = pair
+        assert levenshtein_align(ref, hyp) == matrix_align(ref, hyp)
+
+    def test_equals_matrix_alignment_on_a_300_grapheme_line(self):
+        rng = random.Random(300)
+        letters = ["a", "e", "ı", "i", "k", "ḳ", "l", "r", "s̱", "u", " "]
+        ref = [rng.choice(letters) for _ in range(300)]
+        swap = {"ı": "i", "i": "ı", "k": "ḳ", "ḳ": "k"}
+        hyp = [swap.get(g, g) if n % 7 == 0 else g for n, g in enumerate(ref)]
+        del hyp[150:153]
+        hyp[40:40] = ["ı", "ḳ"]
+        align = levenshtein_align(ref, hyp)
+        assert align == matrix_align(ref, hyp)
+        assert align.substitutions > 0
+        assert "".join(align.replay()) == "".join(hyp)
 
     def test_traceback_prefers_match_over_substitute(self):
         align = levenshtein_align(list("ab"), list("ab"))

@@ -152,6 +152,7 @@ class TestCheckVowelHarmony:
             ("geldi", True),
             ("a", True),
             ("brk", True),  # vacuous: no vowels
+            ("KIZLAR", True),  # dotless capital I lowercases to ı
         ],
     )
     def test_verdicts(self, word, expected):
@@ -230,3 +231,14 @@ class TestLexiconIO:
         lex_file.write_text("hoca\tbogus\n", "utf-8")
         with pytest.raises(ValueError):
             Lexicon.from_file(lex_file)
+
+    def test_turkish_capitals_lowercase_to_their_own_letters(self, tmp_path):
+        lex_file = tmp_path / "lex.txt"
+        lex_file.write_text("Işık\nİstanbul\tfull\n", "utf-8")
+        lex = Lexicon.from_file(lex_file)
+        assert lex.stems == {"ışık"}
+        assert lex.full_forms == {"istanbul"}
+        for word in ("ışık", "IŞIK", "istanbul", "İSTANBUL"):
+            assert lex.contains(word)
+        assert not lex.contains("işik")
+        assert strip_affixes("IŞIKLAR", lex) == {("ışık", ("-lAr",))}
