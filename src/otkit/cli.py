@@ -139,6 +139,18 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_romanize(args) -> int:
+    if args.top < 1:
+        raise _UsageError(f"--top must be at least 1, got {args.top}")
+    if not 0.0 <= args.alpha <= 1.0:
+        raise _UsageError(f"--alpha must lie in [0, 1], got {args.alpha}")
+    try:
+        limits = GenLimits(
+            max_insertions=args.max_insertions,
+            beam_width=args.beam,
+            max_candidates=args.max_candidates,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     table = load_table()
     lexicon = (
         Lexicon.from_file(args.lexicon) if args.lexicon else Lexicon(frozenset())
@@ -149,11 +161,6 @@ def _cmd_romanize(args) -> int:
         else ExceptionLexicon()
     )
     model = lm.load(args.model) if args.model else None
-    limits = GenLimits(
-        max_insertions=args.max_insertions,
-        beam_width=args.beam,
-        max_candidates=args.max_candidates,
-    )
     out = []
     failed = False
     for raw in sys.stdin.read().split():

@@ -124,21 +124,30 @@ def levenshtein_align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
     return Alignment(tuple(ops), s, ins, dele, matches)
 
 
+def _grapheme_counts(ref: str, hyp: str) -> tuple[int, int]:
+    ref_g = segment_line(ref).graphemes
+    return levenshtein_align(ref_g, segment_line(hyp).graphemes).distance, len(ref_g)
+
+
+def _token_counts(ref: str, hyp: str) -> tuple[int, int]:
+    ref_t = ref.split()
+    return levenshtein_align(ref_t, hyp.split()).distance, len(ref_t)
+
+
+def _rate(edits: int, total: int, empty: str) -> float:
+    if not total:
+        raise EmptyReference(empty)
+    return edits / total
+
+
 def cer(ref: str, hyp: str) -> float:
     """(S+I+D) / reference length, in grapheme clusters. May exceed 1.0."""
-    ref_g = segment_line(ref).graphemes
-    if not ref_g:
-        raise EmptyReference("reference has no graphemes")
-    hyp_g = segment_line(hyp).graphemes
-    return levenshtein_align(ref_g, hyp_g).distance / len(ref_g)
+    return _rate(*_grapheme_counts(ref, hyp), "reference has no graphemes")
 
 
 def wer(ref: str, hyp: str) -> float:
     """(S+I+D) / reference length, over whitespace tokens."""
-    ref_t = ref.split()
-    if not ref_t:
-        raise EmptyReference("reference has no tokens")
-    return levenshtein_align(ref_t, hyp.split()).distance / len(ref_t)
+    return _rate(*_token_counts(ref, hyp), "reference has no tokens")
 
 
 @dataclass(frozen=True)
@@ -166,17 +175,13 @@ class EvalReport:
 
     @property
     def micro_cer(self) -> float:
-        total = sum(r.char_total for r in self.rows)
-        if total == 0:
-            raise EmptyReference("no reference graphemes in report")
-        return sum(r.char_edits for r in self.rows) / total
+        edits, total = sum(r.char_edits for r in self.rows), sum(r.char_total for r in self.rows)
+        return _rate(edits, total, "no reference graphemes in report")
 
     @property
     def micro_wer(self) -> float:
-        total = sum(r.word_total for r in self.rows)
-        if total == 0:
-            raise EmptyReference("no reference tokens in report")
-        return sum(r.word_edits for r in self.rows) / total
+        edits, total = sum(r.word_edits for r in self.rows), sum(r.word_total for r in self.rows)
+        return _rate(edits, total, "no reference tokens in report")
 
     def render_table(self) -> str:
         headers = ("Name of publication", "Subject", "Date", "CER", "WER")
@@ -210,16 +215,8 @@ class EvalReport:
 
 def document_counts(ref_lines: Sequence[str], hyp_lines: Sequence[str]):
     """Pooled (char_edits, char_total, word_edits, word_total) over line pairs."""
-    char_edits = char_total = word_edits = word_total = 0
-    for ref, hyp in zip(ref_lines, hyp_lines):
-        ref_g = segment_line(ref).graphemes
-        hyp_g = segment_line(hyp).graphemes
-        char_edits += levenshtein_align(ref_g, hyp_g).distance
-        char_total += len(ref_g)
-        ref_t, hyp_t = ref.split(), hyp.split()
-        word_edits += levenshtein_align(ref_t, hyp_t).distance
-        word_total += len(ref_t)
-    return char_edits, char_total, word_edits, word_total
+    counts = [_grapheme_counts(r, h) + _token_counts(r, h) for r, h in zip(ref_lines, hyp_lines)]
+    return tuple(sum(c[k] for c in counts) for k in range(4))
 
 
 def corpus_report(

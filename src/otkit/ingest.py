@@ -246,8 +246,19 @@ class CorpusManifest:
 def load_manifest(path: Path | str, check_files: bool = True) -> CorpusManifest:
     base = Path(path).parent
     data = json.loads(Path(path).read_text("utf-8"))
+    raws = data.get("entries", []) if isinstance(data, dict) else None
+    if not isinstance(raws, list):
+        raise ValueError(
+            f'{path}: malformed manifest: expected an object with an "entries" list'
+        )
     entries = []
-    for raw in data.get("entries", []):
+    for i, raw in enumerate(raws):
+        if not isinstance(raw, dict) or not all(
+            isinstance(raw.get(key), str) for key in ("page", "transcript")
+        ):
+            raise ValueError(
+                f'{path}: malformed manifest: entry {i} needs "page" and "transcript" strings'
+            )
         entry = ManifestEntry(
             page_file=raw["page"],
             transcript_file=raw["transcript"],

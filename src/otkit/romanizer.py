@@ -133,6 +133,12 @@ class GenerationResult:
         return [c.surface for c in self.candidates]
 
 
+# Each archiphoneme and the letters it surfaces as. _realize picks one by
+# index: A by frontness (a, e), I by frontness plus 2 for rounding
+# (ı, i, u, ü), D by a voiceless final (d, t).
+_ARCHIPHONEMES = {"A": "ae", "I": "ıiuü", "D": "dt"}
+
+
 @dataclass(frozen=True)
 class Affix:
     """A suffix template in archiphoneme notation.
@@ -144,33 +150,28 @@ class Affix:
     name: str
     template: str
 
+    def parts(self) -> tuple[str, str]:
+        """(optional, body): the parenthesized segment ("" if none) and the rest."""
+        if not self.template.startswith("("):
+            return "", self.template
+        close = self.template.index(")")
+        return self.template[1:close], self.template[close + 1 :]
+
     def realizations(self) -> set[str]:
-        template = self.template
-        optional = ""
-        if template.startswith("("):
-            close = template.index(")")
-            optional = template[1:close]
-            template = template[close + 1 :]
-        expansions = _expand_archiphonemes(template)
-        if optional:
-            with_opt = {
-                o + e
-                for o in _expand_archiphonemes(optional)
-                for e in expansions
-            }
-            return expansions | with_opt
-        return expansions
+        optional, body = self.parts()
+        forms = _expand_archiphonemes(body)
+        return forms | {o + f for o in _expand_archiphonemes(optional) for f in forms}
 
 
 def _expand_archiphonemes(template: str) -> set[str]:
     results = {""}
-    choices = {"A": "ae", "I": "ıiuü", "D": "dt"}
     for ch in template:
-        alts = choices.get(ch, ch)
+        alts = _ARCHIPHONEMES.get(ch, ch)
         results = {r + a for r in results for a in alts}
     return results
 
 
+# The built-in suffix set, which every lexicon shares.
 DEFAULT_AFFIXES: tuple[Affix, ...] = (
     Affix("-DI", "DI"),
     Affix("-lAr", "lAr"),
@@ -180,17 +181,20 @@ DEFAULT_AFFIXES: tuple[Affix, ...] = (
     Affix("-Dan", "DAn"),
 )
 
+_AFFIXES = {affix.name: affix for affix in DEFAULT_AFFIXES}
+# Every surface form of every suffix, expanded once for strip_affixes.
+_AFFIX_FORMS = tuple((a.name, tuple(sorted(a.realizations()))) for a in DEFAULT_AFFIXES)
+
 
 @dataclass(frozen=True)
 class Lexicon:
     stems: frozenset[str]
     full_forms: frozenset[str] = frozenset()
-    affixes: tuple[Affix, ...] = DEFAULT_AFFIXES
 
     @classmethod
-    def from_file(cls, path: Path | str, affixes: tuple[Affix, ...] = DEFAULT_AFFIXES) -> "Lexicon":
+    def from_file(cls, path: Path | str) -> "Lexicon":
         stems, fulls = set(), set()
-        for raw in Path(path).read_text("utf-8").splitlines():
+        for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -199,10 +203,10 @@ class Lexicon:
                 if tag.strip() == "full":
                     fulls.add(_lower(unicodedata.normalize("NFC", word.strip())))
                 else:
-                    raise ValueError(f"unknown lexicon tag: {tag!r}")
+                    raise ValueError(f"{path}:{lineno}: unknown lexicon tag: {tag!r}")
             else:
                 stems.add(_lower(unicodedata.normalize("NFC", line)))
-        return cls(frozenset(stems), frozenset(fulls), affixes)
+        return cls(frozenset(stems), frozenset(fulls))
 
     def contains(self, surface: str) -> bool:
         word = _lower(surface)
@@ -340,63 +344,46 @@ def strip_affixes(surface: str, lexicon: Lexicon) -> set[tuple[str, tuple[str, .
         seen.add((rest, chain))
         if lexicon.contains(rest):
             results.add((rest, tuple(reversed(chain))))
-        for affix in lexicon.affixes:
-            for form in sorted(affix.realizations(), key=len, reverse=True):
-                if form and len(rest) > len(form) and rest.endswith(form):
-                    walk(rest[: -len(form)], chain + (affix.name,))
+        for name, forms in _AFFIX_FORMS:
+            for form in forms:
+                if len(rest) > len(form) and rest.endswith(form):
+                    walk(rest[: -len(form)], chain + (name,))
 
     walk(word, ())
     return results
 
 
-def _affix_by_name(name: str, affixes: tuple[Affix, ...]) -> Affix:
-    for affix in affixes:
-        if affix.name == name:
-            return affix
-    raise KeyError(name)
-
-
-def apply_harmony(stem: str, chain: Iterable[str | Affix], lexicon: Lexicon | None = None) -> str:
+def apply_harmony(stem: str, chain: Iterable[str | Affix]) -> str:
     """Attach archiphonemic suffixes to a stem with MT harmony rules.
 
     A realizes as a/e (two-fold backness harmony); I as ı/i/u/ü (four-fold
     backness+rounding harmony); D as d/t (voicing assimilation). A leading
-    parenthesized segment is used only after a consonant.
+    parenthesized segment is used only after a consonant. A suffix given by
+    name must be one of DEFAULT_AFFIXES; any other name raises KeyError.
     """
     word = stem
     if _last_vowel(word) is None:
         raise NoVowelInStem(stem)
-    affixes = lexicon.affixes if lexicon is not None else DEFAULT_AFFIXES
     for item in chain:
-        affix = item if isinstance(item, Affix) else _affix_by_name(item, affixes)
-        template = affix.template
-        if template.startswith("("):
-            close = template.index(")")
-            optional, template = template[1:close], template[close + 1 :]
-            if not _is_vowel(word[-1]):
-                word = _realize(word, optional)
-        word = _realize(word, template)
+        affix = item if isinstance(item, Affix) else _AFFIXES[item]
+        optional, body = affix.parts()
+        word = _realize(word, body if _is_vowel(word[-1]) else optional + body)
     return word
 
 
 def _realize(word: str, template: str) -> str:
     for ch in template:
-        if ch == "A":
-            word += "a" if _last_vowel(word) in _BACK_VOWELS else "e"
-        elif ch == "I":
+        if ch == "D":
+            index = word[-1] in _VOICELESS_FINALS
+        elif ch in _ARCHIPHONEMES:
             last = _last_vowel(word)
-            back = last in _BACK_VOWELS
-            rounded = last in _ROUNDED_VOWELS
-            word += {
-                (True, False): "ı",
-                (False, False): "i",
-                (True, True): "u",
-                (False, True): "ü",
-            }[(back, rounded)]
-        elif ch == "D":
-            word += "t" if word[-1] in _VOICELESS_FINALS else "d"
+            index = last not in _BACK_VOWELS
+            if ch == "I":
+                index += 2 * (last in _ROUNDED_VOWELS)
         else:
             word += ch
+            continue
+        word += _ARCHIPHONEMES[ch][index]
     return word
 
 

@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from otkit import ingest
 from otkit.cli import run
 
@@ -177,6 +179,29 @@ class TestRomanizeCommand:
         assert code == 2
         assert f"{exceptions}:1:" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--top", "0"],
+            ["--top", "-1"],
+            ["--alpha", "1.5"],
+            ["--alpha", "-0.1"],
+            ["--alpha", "nan"],
+            ["--beam", "0"],
+            ["--max-candidates", "0"],
+            ["--max-insertions", "-1"],
+        ],
+        ids=["top-0", "top-negative", "alpha-above-1", "alpha-negative", "alpha-nan",
+             "beam-0", "max-candidates-0", "max-insertions-negative"],
+    )
+    def test_out_of_range_option_is_usage_error(self, flags, tmp_path, monkeypatch, capsys):
+        # A model file that does not exist shows the check comes before any input is read.
+        argv = ["romanize", "--model", str(tmp_path / "missing.json"), *flags]
+        code, out, err = invoke(monkeypatch, capsys, argv, stdin="خواجه\n")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("otkit: error: ")
+
 
     def test_unknown_letter_fails_only_its_word(self, monkeypatch, capsys):
         code, out, err = invoke(
@@ -236,6 +261,27 @@ class TestPrepareAndSplit:
         )
         assert code == 2
         assert "line" in err.lower()
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {"entries": [{"transcript": "t1.txt"}]},
+            [{"page": "p1.xml", "transcript": "t1.txt"}],
+            {"entries": ["p1.xml"]},
+        ],
+        ids=["entry-without-page", "top-level-list", "string-entry"],
+    )
+    def test_malformed_manifest_is_data_error(self, manifest, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), "utf-8")
+        for argv in (
+            ["split", "--manifest", str(path), "-o", str(tmp_path / "split.json")],
+            ["prepare", "--manifest", str(path), "--out", str(tmp_path / "out")],
+        ):
+            code, _, err = invoke(monkeypatch, capsys, argv)
+            assert code == 2
+            assert f"{path}: malformed manifest" in err
+            assert "Traceback" not in err
 
     def test_split_deterministic(self, tmp_path, monkeypatch, capsys):
         self._write_corpus(tmp_path)

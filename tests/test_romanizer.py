@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,7 +97,29 @@ class TestGenerateCandidates:
         assert by_surface["ba"].gen_score == pytest.approx(0.5 * by_surface["b"].gen_score)
 
 
+class TestAffix:
+    def test_realizations_of_dan(self):
+        (affix,) = [a for a in DEFAULT_AFFIXES if a.name == "-Dan"]
+        assert affix.realizations() == {"dan", "den", "tan", "ten"}
+
+    def test_realizations_of_optional_vowel(self):
+        (affix,) = [a for a in DEFAULT_AFFIXES if a.name == "-(I)ncI"]
+        bare = {"ncı", "nci", "ncu", "ncü"}
+        with_vowel = {v + form for v, form in itertools.product("ıiuü", bare)}
+        assert affix.realizations() == bare | with_vowel
+        assert len(affix.realizations()) == 20
+
+
 class TestStripAffixes:
+    @given(
+        st.sampled_from(["ol", "gel", "üç", "kapı", "göz", "su", "ev", "kitap", "iki", "amele",
+                         "hoca", "at", "kız", "gül"]),
+        st.lists(st.sampled_from([a.name for a in DEFAULT_AFFIXES]), min_size=1, max_size=3),
+    )
+    def test_strips_what_harmony_attaches(self, stem, chain):
+        word = apply_harmony(stem, chain)
+        assert (stem, tuple(chain)) in strip_affixes(word, Lexicon(frozenset({stem})))
+
     def test_two_affixes(self, lexicon):
         assert strip_affixes("geldiler", lexicon) == {("gel", ("-DI", "-lAr"))}
 
@@ -125,6 +150,10 @@ class TestApplyHarmony:
 
     def test_affix_objects_accepted(self):
         assert apply_harmony("gel", [Affix("-DI", "DI")]) == "geldi"
+
+    def test_unknown_affix_name(self):
+        with pytest.raises(KeyError):
+            apply_harmony("gel", ["-bogus"])
 
     def test_no_vowel_in_stem(self):
         with pytest.raises(NoVowelInStem):
@@ -229,7 +258,7 @@ class TestLexiconIO:
     def test_unknown_tag_rejected(self, tmp_path):
         lex_file = tmp_path / "lex.txt"
         lex_file.write_text("hoca\tbogus\n", "utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"{lex_file}:1:")):
             Lexicon.from_file(lex_file)
 
     def test_turkish_capitals_lowercase_to_their_own_letters(self, tmp_path):
