@@ -292,7 +292,7 @@ def split_corpus(
     Counts follow the largest-remainder method, so every proportion is within
     one entry of exact.
     """
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if not all(r >= 0 for r in ratios) or not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ValueError(f"ratios must be non-negative and sum to 1: {ratios}")
     n = len(manifest.entries)
     if n == 0:

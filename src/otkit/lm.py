@@ -49,7 +49,16 @@ class _AddK:
     _totals: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("model orders must be >= 1")
+        if not 0 < self.k < math.inf:
+            raise ValueError("add-k constant must be positive and finite")
         totals = {history: sum(counter.values()) for history, counter in self.counts.items()}
+        # The least probability the model gives: an unseen token after the
+        # most frequent history. At zero, score() would take log(0).
+        least = self.k / (max(totals.values(), default=0) + self.k * (len(self.vocab) + 1))
+        if not least > 0:
+            raise ValueError(f"add-k constant {self.k!r} rounds some probabilities to zero")
         object.__setattr__(self, "_totals", totals)
 
     def prob(self, history: Sequence[str], token: str) -> float:
@@ -64,6 +73,11 @@ class _AddK:
 class NgramModel(_AddK):
     char_backoff: _AddK
     backoff_weight: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 < self.backoff_weight < 1:
+            raise ValueError("backoff weight must be in (0, 1)")
 
     def token_logprob(self, history: Sequence[str], token: str) -> float:
         if token in self.vocab:
@@ -90,8 +104,9 @@ def _count(
     counts: dict[tuple[str, ...], Counter] = {}
     for sequence in sequences:
         padded = (pad,) * (order - 1) + tuple(sequence)
-        for i in range(order - 1, len(padded)):
-            counts.setdefault(padded[i - order + 1 : i], Counter())[padded[i]] += 1
+        # One step per symbol, also for an order < 1, which the model then refuses.
+        for i, token in enumerate(sequence):
+            counts.setdefault(padded[i : i + order - 1], Counter())[token] += 1
     return counts
 
 
@@ -103,13 +118,6 @@ def train(
     backoff_weight: float = 0.5,
 ) -> NgramModel:
     """Train an add-k n-gram model with sentence-boundary padding."""
-    if order < 1 or char_order < 1:
-        raise ValueError("model orders must be >= 1")
-    if k <= 0:
-        raise ValueError("add-k constant must be positive")
-    if not 0 < backoff_weight < 1:
-        raise ValueError("backoff weight must be in (0, 1)")
-
     lines = [tokens for tokens in map(tokenize, corpus) if tokens]
     if not lines:
         raise EmptyCorpus("no tokens after whitespace tokenization")
@@ -174,7 +182,7 @@ def rescore(candidates, model: NgramModel, config: RescoreConfig = RescoreConfig
         gen_log = math.log(cand.gen_score) if cand.gen_score > 0 else -math.inf
         lm_log = score(model, [cand.surface])
         total = config.alpha * gen_log + (1.0 - config.alpha) * lm_log
-        rescored.append(replace(cand, lm_score=lm_log, total=total))
+        rescored.append(replace(cand, total=total))
     rescored.sort(key=lambda c: (-c.total, c.surface))
     return rescored
 
@@ -205,7 +213,7 @@ def _from_json(data, cls: type[_AddK] = _AddK, **extra) -> _AddK:
             for key, value in data["counts"].items()
         }
         return cls(data["order"], counts, frozenset(data["vocab"]), data["k"], **extra)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file: {exc}") from exc
 
 

@@ -88,21 +88,9 @@ class OTWord:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One derivation step: a table substitution, an inserted vowel, or an
-    exception-lexicon override."""
-
-    kind: str  # "sub" | "ins" | "exception"
-    ot_letter: str = ""
-    output: str = ""
-
-
-@dataclass(frozen=True)
 class Candidate:
     surface: str
-    trace: tuple[TraceStep, ...]
     gen_score: float
-    lm_score: float = 0.0
     total: float = 0.0
 
 
@@ -258,16 +246,14 @@ def generate_candidates(
     max_ins = limits.insertions_for(word)
     truncated = False
 
-    # beam state: (surface, trace, score, insertions_used)
-    beam: list[tuple[str, tuple[TraceStep, ...], float, int]] = [("", (), 1.0, 0)]
+    # beam state: (surface, score, insertions_used)
+    beam: list[tuple[str, float, int]] = [("", 1.0, 0)]
     for i in range(len(word.letters)):
         alternatives = _letter_alternatives(word, i, table)
-        letter = word.letters[i]
         next_beam = []
-        for surface, trace, score, used in beam:
+        for surface, score, used in beam:
             for alt_index, alt in enumerate(alternatives):
                 weight = 1.0 / (1 + alt_index)
-                step = TraceStep("sub", ot_letter=letter, output=alt)
                 # epenthesis between two consonant realizations
                 if (
                     used < max_ins
@@ -278,53 +264,31 @@ def generate_candidates(
                 ):
                     for vowel in table.mt_vowels:
                         next_beam.append(
-                            (
-                                surface + vowel + alt,
-                                trace + (TraceStep("ins", output=vowel), step),
-                                score * INSERTION_PENALTY * weight,
-                                used + 1,
-                            )
+                            (surface + vowel + alt, score * INSERTION_PENALTY * weight, used + 1)
                         )
-                next_beam.append((surface + alt, trace + (step,), score * weight, used))
-        next_beam.sort(key=lambda s: (-s[2], s[0]))
+                next_beam.append((surface + alt, score * weight, used))
+        next_beam.sort(key=lambda s: (-s[1], s[0]))
         if len(next_beam) > limits.beam_width:
             truncated = True
             next_beam = next_beam[: limits.beam_width]
         beam = next_beam
 
-    finished = list(beam)
-    for surface, trace, score, used in beam:
+    finished = [(surface, score) for surface, score, _ in beam]
+    for surface, score, used in beam:
         if used < max_ins and surface and not _is_vowel(surface[-1]):
             for vowel in table.mt_vowels:
-                finished.append(
-                    (
-                        surface + vowel,
-                        trace + (TraceStep("ins", output=vowel),),
-                        score * INSERTION_PENALTY,
-                        used + 1,
-                    )
-                )
+                finished.append((surface + vowel, score * INSERTION_PENALTY))
 
-    best: dict[str, tuple[str, tuple[TraceStep, ...], float, int]] = {}
-    for state in finished:
-        current = best.get(state[0])
-        if current is None or state[2] > current[2]:
-            best[state[0]] = state
-    ordered = sorted(best.values(), key=lambda s: (-s[2], s[0]))
+    best: dict[str, float] = {}
+    for surface, score in finished:
+        if surface not in best or score > best[surface]:
+            best[surface] = score
+    ordered = sorted(best.items(), key=lambda s: (-s[1], s[0]))
     if len(ordered) > limits.max_candidates:
         truncated = True
         ordered = ordered[: limits.max_candidates]
-    candidates = tuple(
-        Candidate(surface=s, trace=t, gen_score=score) for s, t, score, _ in ordered
-    )
+    candidates = tuple(Candidate(surface=s, gen_score=score) for s, score in ordered)
     return GenerationResult(candidates, truncated)
-
-
-def invert_candidate(candidate: Candidate) -> str:
-    """Recover the OT word from a candidate's derivation trace."""
-    return "".join(
-        step.ot_letter for step in candidate.trace if step.kind == "sub"
-    )
 
 
 def strip_affixes(surface: str, lexicon: Lexicon) -> set[tuple[str, tuple[str, ...]]]:
@@ -421,8 +385,7 @@ def romanize(
     """
     override = exceptions.lookup(word)
     if override is not None:
-        step = TraceStep("exception", ot_letter=word.text, output=override)
-        return [Candidate(surface=override, trace=(step,), gen_score=1.0, total=0.0)]
+        return [Candidate(surface=override, gen_score=1.0, total=0.0)]
 
     result = generate_candidates(word, table, limits)
     passing = [

@@ -66,7 +66,6 @@ class SchemeTable:
     vowel_letters: frozenset[str]
     mt_vowels: tuple[str, ...]
     diacritic_strip: dict[str, str]
-    polyphonic_letters: frozenset[str]
 
     def candidates(self, letter: str) -> tuple[str, ...]:
         try:
@@ -93,7 +92,6 @@ def load_table(directory: Path | None = None) -> SchemeTable:
         vowel_letters=frozenset(alphabet["vowel_letters"]),
         mt_vowels=tuple(alphabet["mt_vowels"]),
         diacritic_strip=dict(strip["strip"]),
-        polyphonic_letters=frozenset(alphabet["polyphonic_letters"]),
     )
 
 

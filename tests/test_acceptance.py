@@ -179,8 +179,8 @@ def test_criterion_8_rescoring_reduces_micro_cer():
 
     candidate_lists = [
         [
-            Candidate(surface=corrupt(word), trace=(), gen_score=0.9),
-            Candidate(surface=word, trace=(), gen_score=0.5),
+            Candidate(surface=corrupt(word), gen_score=0.9),
+            Candidate(surface=word, gen_score=0.5),
         ]
         for word in references
     ]

@@ -1,8 +1,14 @@
+import contextlib
 import io
 import json
+import math
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from otkit import ingest
 from otkit.cli import run
@@ -68,6 +74,36 @@ class TestDataErrors:
         model.write_text(json.dumps(payload), "utf-8")
         code, out, err = invoke(
             monkeypatch, capsys, ["lm-score", "--model", str(model)], stdin="amele\n"
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed model file" in err
+
+    @pytest.mark.parametrize("k", ["nan", "inf", "1e308", "5e-324"])
+    def test_non_finite_add_k_is_refused(self, k, tmp_path, monkeypatch, capsys):
+        corpus, model = tmp_path / "corpus.txt", tmp_path / "model.json"
+        corpus.write_text("amele geldi\n", "utf-8")
+        argv = ["lm-train", str(corpus), "-o", str(model), "--add-k", k]
+        code, _, err = invoke(monkeypatch, capsys, argv)
+        assert code == 2
+        assert "add-k constant" in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("k", math.nan), ("k", math.inf), ("order", 0),
+         ("backoff_weight", 1.5), ("backoff_weight", 0.0), ("backoff_weight", math.nan)],
+        ids=["k-nan", "k-inf", "order-0", "weight-above-1", "weight-0", "weight-nan"],
+    )
+    def test_out_of_range_model_value_is_malformed(self, key, value, tmp_path, monkeypatch, capsys):
+        corpus, model = tmp_path / "corpus.txt", tmp_path / "model.json"
+        corpus.write_text("amele geldi\n", "utf-8")
+        invoke(monkeypatch, capsys, ["lm-train", str(corpus), "-o", str(model)])
+        payload = json.loads(model.read_text("utf-8"))
+        payload[key] = value
+        model.write_text(json.dumps(payload), "utf-8")
+        code, out, err = invoke(
+            monkeypatch, capsys, ["lm-score", "--model", str(model)], stdin="amele zzz\n"
         )
         assert code == 2
         assert out == ""
@@ -283,6 +319,15 @@ class TestPrepareAndSplit:
             assert f"{path}: malformed manifest" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "0.4,0.6,nan", "nan,nan,nan"])
+    def test_nan_ratio_is_refused(self, ratios, tmp_path, monkeypatch, capsys):
+        self._write_corpus(tmp_path)
+        argv = ["split", "--manifest", str(tmp_path / "manifest.json"), "--ratios", ratios,
+                "-o", str(tmp_path / "split.json")]
+        code, _, err = invoke(monkeypatch, capsys, argv)
+        assert code == 2
+        assert "ratios must be non-negative and sum to 1" in err
+
     def test_split_deterministic(self, tmp_path, monkeypatch, capsys):
         self._write_corpus(tmp_path)
         out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
@@ -294,3 +339,44 @@ class TestPrepareAndSplit:
             )
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def run_quietly(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Orders stay small: every line is padded with order - 1 symbols.
+_INTS = st.integers(-2, 6).map(str) | st.sampled_from(["nan", "inf", "1.5"])
+_FLOATS = (st.floats() | st.floats(0, 1)).map(str)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=_INTS, char_order=_INTS, k=_FLOATS, weight=_FLOATS,
+       ratios=st.lists(_FLOATS, min_size=3, max_size=3), alpha=_FLOATS, top=_INTS)
+def test_numeric_options_keep_the_exit_contract(order, char_order, k, weight, ratios, alpha, top):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        corpus, model, manifest = work / "corpus.txt", work / "model.json", work / "manifest.json"
+        corpus.write_text("amele geldi\namele oldu\n", "utf-8")
+        entries = [{"page": f"p{i}.xml", "transcript": f"t{i}.txt"} for i in range(4)]
+        manifest.write_text(json.dumps({"entries": entries}), "utf-8")
+        codes = []
+        for argv in (
+            ["lm-train", str(corpus), "-o", str(model), "--order", order,
+             "--char-order", char_order, "--add-k", k, "--backoff-weight", weight],
+            ["split", "--manifest", str(manifest), "--ratios", ",".join(ratios),
+             "-o", str(work / "split.json")],
+            ["romanize", "--alpha", alpha, "--top", top],
+        ):
+            code, _, err = run_quietly(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            codes.append(code)
+        if codes[0] == 0:
+            code, out, _ = run_quietly(["lm-score", "--model", str(model)], stdin="amele zzqx\n")
+            assert code == 0
+            assert math.isfinite(float(out.split("\t")[0]))

@@ -170,7 +170,7 @@ class TestPerplexity:
 
 
 def _cand(surface, gen):
-    return Candidate(surface=surface, trace=(), gen_score=gen)
+    return Candidate(surface=surface, gen_score=gen)
 
 
 class TestRescore:

@@ -1,8 +1,9 @@
 import itertools
 import re
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from otkit import lm
 from otkit.romanizer import (
@@ -17,13 +18,13 @@ from otkit.romanizer import (
     apply_harmony,
     check_vowel_harmony,
     generate_candidates,
-    invert_candidate,
     romanize,
     strip_affixes,
 )
-from otkit.scheme import UnknownLetter
+from otkit.scheme import UnknownLetter, load_table
 
 WIDE = GenLimits(beam_width=5000, max_candidates=5000)
+OT_LETTERS = sorted(load_table().ot_to_latin)
 
 
 @pytest.fixture
@@ -67,10 +68,19 @@ class TestGenerateCandidates:
         expected = {"b"} | {"b" + v for v in "aeıioöuü"}
         assert set(result.surfaces()) == expected
 
-    def test_character_accuracy_trace(self, table):
-        word = OTWord.from_text("عمله", table)
-        for cand in generate_candidates(word, table, WIDE).candidates:
-            assert invert_candidate(cand) == word.text
+    @given(text=st.lists(st.sampled_from(OT_LETTERS), min_size=1, max_size=4).map("".join))
+    @example(text="عمله")
+    def test_character_accuracy(self, table, text):
+        # Without insertions, each reading takes one chart alternative per
+        # letter, and every such choice is a reading.
+        word = OTWord.from_text(text, table)
+        rows = [
+            table.mt_vowels if i == 0 and letter == "ا" else table.candidates(letter)
+            for i, letter in enumerate(word.letters)
+        ]
+        result = generate_candidates(word, table, replace(WIDE, max_insertions=0))
+        assert not result.truncated
+        assert set(result.surfaces()) == {"".join(p) for p in itertools.product(*rows)}
 
     def test_monophonic_no_insertions_is_singleton(self, table):
         word = OTWord.from_text("برد", table)  # b, r, d: one alternative each
