@@ -33,6 +33,10 @@ class _UsageError(Exception):
     pass
 
 
+# Every other data error otkit raises is a ValueError.
+_DATA_ERRORS = (UnknownLetter, OSError, ValueError)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -243,12 +247,19 @@ def _cmd_eval(args) -> int:
     return 2 if report.skipped and not report.rows else 0
 
 
-def _prepare_one(page_path: Path, transcript_path: Path, out_dir: Path, reverse: bool):
-    doc = ingest.parse_page_xml(page_path.read_bytes())
-    transcript = ingest.load_transcript(transcript_path)
-    pairs = ingest.pair_ground_truth(doc, transcript)
-    name = page_path.stem
-    ingest.export_training_pairs([(name, pairs)], out_dir, reverse=reverse)
+def _prepare_one(
+    page_path: Path, transcript_path: Path, out_dir: Path, reverse: bool
+) -> bool:
+    """Export one page; on a data error, report it under the page's path."""
+    try:
+        doc = ingest.parse_page_xml(page_path.read_bytes())
+        transcript = ingest.load_transcript(transcript_path)
+        pairs = ingest.pair_ground_truth(doc, transcript)
+        ingest.export_training_pairs([(page_path.stem, pairs)], out_dir, reverse=reverse)
+    except _DATA_ERRORS as exc:
+        print(f"otkit: {page_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_prepare(args) -> int:
@@ -262,15 +273,15 @@ def _cmd_prepare(args) -> int:
             raise ValueError(f"pages share an output name: {', '.join(shared)}")
         base = Path(args.manifest).parent
         for entry in manifest.entries:
-            _prepare_one(
+            if not _prepare_one(
                 base / entry.page_file, base / entry.transcript_file, out_dir, reverse
-            )
+            ):
+                return 2
         print(f"prepared {len(manifest.entries)} pages", file=sys.stderr)
         return 0
     if not (args.page and args.transcript):
         raise _UsageError("prepare needs --manifest or both --page and --transcript")
-    _prepare_one(Path(args.page), Path(args.transcript), out_dir, reverse)
-    return 0
+    return 0 if _prepare_one(Path(args.page), Path(args.transcript), out_dir, reverse) else 2
 
 
 def _cmd_split(args) -> int:
@@ -296,10 +307,6 @@ _COMMANDS = {
     "prepare": _cmd_prepare,
     "split": _cmd_split,
 }
-
-# Every other data error otkit raises is a ValueError.
-_DATA_ERRORS = (UnknownLetter, OSError, ValueError)
-
 
 def run(argv: list[str]) -> int:
     parser = build_parser()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .graphemes import ReversalOptions, reverse_line
+from .graphemes import reverse_line
 
 PAGE_NS = "http://schema.primaresearch.org/PAGE/gts/pagecontent/2013-07-15"
 
@@ -186,7 +186,6 @@ def export_training_pairs(
     documents: Sequence[tuple[str, Sequence[PairedLine]]],
     out_dir: Path | str,
     reverse: bool = True,
-    opts: ReversalOptions = ReversalOptions(),
 ) -> list[Path]:
     """Write one transcript file per page, optionally reversing each line.
 
@@ -199,7 +198,7 @@ def export_training_pairs(
     for name, pairs in documents:
         path = out / f"{name}.txt"
         lines = [
-            reverse_line(p.text, opts) if reverse else p.text for p in pairs
+            reverse_line(p.text) if reverse else p.text for p in pairs
         ]
         try:
             path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
@@ -243,7 +242,7 @@ class CorpusManifest:
         }
 
 
-def load_manifest(path: Path | str, check_files: bool = True) -> CorpusManifest:
+def load_manifest(path: Path | str) -> CorpusManifest:
     base = Path(path).parent
     data = json.loads(Path(path).read_text("utf-8"))
     raws = data.get("entries", []) if isinstance(data, dict) else None
@@ -268,10 +267,9 @@ def load_manifest(path: Path | str, check_files: bool = True) -> CorpusManifest:
             date=raw.get("date", ""),
             split=raw.get("split"),
         )
-        if check_files:
-            for rel in (entry.page_file, entry.transcript_file):
-                if not (base / rel).exists():
-                    raise FileNotFoundError(base / rel)
+        for rel in (entry.page_file, entry.transcript_file):
+            if not (base / rel).exists():
+                raise FileNotFoundError(base / rel)
         entries.append(entry)
     return CorpusManifest(tuple(entries), seed=data.get("seed"))
 

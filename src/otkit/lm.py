@@ -12,6 +12,7 @@ import json
 import math
 import unicodedata
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -53,6 +54,10 @@ class _AddK:
             raise ValueError("model orders must be >= 1")
         if not 0 < self.k < math.inf:
             raise ValueError("add-k constant must be positive and finite")
+        # One C-level pass over every count: a min() per history costs more
+        # than the sums below.
+        if min(chain.from_iterable(map(dict.values, self.counts.values())), default=0) < 0:
+            raise ValueError("n-gram counts must be non-negative")
         totals = {history: sum(counter.values()) for history, counter in self.counts.items()}
         # The least probability the model gives: an unseen token after the
         # most frequent history. At zero, score() would take log(0).

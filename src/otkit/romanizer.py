@@ -145,19 +145,6 @@ class Affix:
         close = self.template.index(")")
         return self.template[1:close], self.template[close + 1 :]
 
-    def realizations(self) -> set[str]:
-        optional, body = self.parts()
-        forms = _expand_archiphonemes(body)
-        return forms | {o + f for o in _expand_archiphonemes(optional) for f in forms}
-
-
-def _expand_archiphonemes(template: str) -> set[str]:
-    results = {""}
-    for ch in template:
-        alts = _ARCHIPHONEMES.get(ch, ch)
-        results = {r + a for r in results for a in alts}
-    return results
-
 
 # The built-in suffix set, which every lexicon shares.
 DEFAULT_AFFIXES: tuple[Affix, ...] = (
@@ -170,8 +157,6 @@ DEFAULT_AFFIXES: tuple[Affix, ...] = (
 )
 
 _AFFIXES = {affix.name: affix for affix in DEFAULT_AFFIXES}
-# Every surface form of every suffix, expanded once for strip_affixes.
-_AFFIX_FORMS = tuple((a.name, tuple(sorted(a.realizations()))) for a in DEFAULT_AFFIXES)
 
 
 @dataclass(frozen=True)
@@ -294,26 +279,26 @@ def generate_candidates(
 def strip_affixes(surface: str, lexicon: Lexicon) -> set[tuple[str, tuple[str, ...]]]:
     """All (stem, affix chain) segmentations licensed by the lexicon.
 
-    Suffix realizations are matched iteratively from the end of the word; a
-    segmentation counts only if the remaining stem is an attested stem or full
-    form. Chains are returned in application order.
+    From every prefix of the word that is an attested stem or full form,
+    suffixes are attached by harmony (as apply_harmony does); a segmentation
+    counts only if the result spells the word. Chains are returned in
+    application order.
     """
     word = _lower(surface)
     results: set[tuple[str, tuple[str, ...]]] = set()
-    seen: set[tuple[str, tuple[str, ...]]] = set()
 
-    def walk(rest: str, chain: tuple[str, ...]) -> None:
-        if (rest, chain) in seen:
-            return
-        seen.add((rest, chain))
-        if lexicon.contains(rest):
-            results.add((rest, tuple(reversed(chain))))
-        for name, forms in _AFFIX_FORMS:
-            for form in forms:
-                if len(rest) > len(form) and rest.endswith(form):
-                    walk(rest[: -len(form)], chain + (name,))
+    def walk(stem: str, built: str, chain: tuple[str, ...]) -> None:
+        if built == word:
+            results.add((stem, chain))
+        elif _last_vowel(built) is not None:
+            for affix in DEFAULT_AFFIXES:
+                longer = _attach(built, affix)
+                if word.startswith(longer):
+                    walk(stem, longer, chain + (affix.name,))
 
-    walk(word, ())
+    for end in range(len(word) + 1):
+        if lexicon.contains(word[:end]):
+            walk(word[:end], word[:end], ())
     return results
 
 
@@ -329,10 +314,14 @@ def apply_harmony(stem: str, chain: Iterable[str | Affix]) -> str:
     if _last_vowel(word) is None:
         raise NoVowelInStem(stem)
     for item in chain:
-        affix = item if isinstance(item, Affix) else _AFFIXES[item]
-        optional, body = affix.parts()
-        word = _realize(word, body if _is_vowel(word[-1]) else optional + body)
+        word = _attach(word, item if isinstance(item, Affix) else _AFFIXES[item])
     return word
+
+
+def _attach(word: str, affix: Affix) -> str:
+    """Realize one suffix after a word that has a vowel."""
+    optional, body = affix.parts()
+    return _realize(word, body if _is_vowel(word[-1]) else optional + body)
 
 
 def _realize(word: str, template: str) -> str:
@@ -379,7 +368,7 @@ def romanize(
     """Full romanization pipeline, deterministically ranked best-first.
 
     Exception entries short-circuit generation entirely. Generated candidates
-    are kept when the lexicon attests them (directly or after affix stripping);
+    are kept when the lexicon attests them (see strip_affixes);
     if none pass, all candidates are kept so the pipeline still yields a
     good-enough reading. Ranking combines generation prior and LM score.
     """
@@ -388,11 +377,7 @@ def romanize(
         return [Candidate(surface=override, gen_score=1.0, total=0.0)]
 
     result = generate_candidates(word, table, limits)
-    passing = [
-        c
-        for c in result.candidates
-        if lexicon.contains(c.surface) or strip_affixes(c.surface, lexicon)
-    ]
+    passing = [c for c in result.candidates if strip_affixes(c.surface, lexicon)]
     pool = passing if passing else list(result.candidates)
 
     if lm_model is not None:

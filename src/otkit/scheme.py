@@ -132,17 +132,15 @@ def _is_alphabetic(grapheme: str) -> bool:
     return any(unicodedata.category(ch).startswith("L") for ch in grapheme)
 
 
-def validate_scheme_text(
-    text: str, scheme: SchemeId, table: SchemeTable, first_line: int = 1
-) -> list[Diagnostic]:
+def validate_scheme_text(text: str, scheme: SchemeId, table: SchemeTable) -> list[Diagnostic]:
     """Flag every alphabetic grapheme outside the scheme's Latin alphabet.
 
-    Digits, punctuation, and whitespace always pass. Columns are 1-based
-    grapheme offsets.
+    Digits, punctuation, and whitespace always pass. Lines are numbered from 1
+    and columns are 1-based grapheme offsets.
     """
     allowed = _scheme_letters(scheme, table)
     diagnostics = []
-    for line_no, raw in enumerate(text.split("\n"), start=first_line):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         for col, g in enumerate(segment_line(raw).graphemes, start=1):
             if _is_alphabetic(g) and g not in allowed:
                 diagnostics.append(Diagnostic(line_no, col, g))

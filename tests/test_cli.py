@@ -109,6 +109,23 @@ class TestDataErrors:
         assert out == ""
         assert "malformed model file" in err
 
+    @pytest.mark.parametrize("section", ["words", "chars"])
+    def test_negative_count_is_malformed(self, section, tmp_path, monkeypatch, capsys):
+        corpus, model = tmp_path / "corpus.txt", tmp_path / "model.json"
+        corpus.write_text("amele geldi\n", "utf-8")
+        invoke(monkeypatch, capsys, ["lm-train", str(corpus), "-o", str(model)])
+        payload = json.loads(model.read_text("utf-8"))
+        counts = payload["counts"] if section == "words" else payload["char_backoff"]["counts"]
+        counter = next(iter(counts.values()))
+        counter[next(iter(counter))] = -50
+        model.write_text(json.dumps(payload), "utf-8")
+        code, out, err = invoke(
+            monkeypatch, capsys, ["lm-score", "--model", str(model)], stdin="amele zzz\n"
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed model file" in err
+
     def test_directory_as_input(self, tmp_path, monkeypatch, capsys):
         code, out, err = invoke(monkeypatch, capsys, ["reverse", "-i", str(tmp_path)])
         assert code == 2
@@ -297,6 +314,31 @@ class TestPrepareAndSplit:
         )
         assert code == 2
         assert "line" in err.lower()
+
+    @pytest.mark.parametrize(
+        "page,error",
+        [
+            (PAGE.replace('<TextLine id="l2"><TextEquiv><Unicode>sayfa 12</Unicode>'
+                          "</TextEquiv></TextLine>", ""),
+             "LineCountMismatch: document has 1 lines, transcript has 2"),
+            ("<PcGts", "MalformedXml: "),
+        ],
+        ids=["extra-transcript-line", "broken-xml"],
+    )
+    def test_failing_page_is_named(self, page, error, tmp_path, monkeypatch, capsys):
+        self._write_corpus(tmp_path)
+        (tmp_path / "p2.xml").write_text(page, "utf-8")
+        (tmp_path / "t2.txt").write_text("gavuruñ\nsayfa 12\n", "utf-8")
+        manifest = json.loads((tmp_path / "manifest.json").read_text("utf-8"))
+        manifest["entries"].append({"page": "p2.xml", "transcript": "t2.txt"})
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        code, _, err = invoke(
+            monkeypatch, capsys,
+            ["prepare", "--manifest", str(tmp_path / "manifest.json"),
+             "--out", str(tmp_path / "out")],
+        )
+        assert code == 2
+        assert err.startswith(f"otkit: {tmp_path / 'p2.xml'}: {error}")
 
     @pytest.mark.parametrize(
         "manifest",

@@ -3,10 +3,11 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from otkit import lm
 from otkit.romanizer import (
+    _ARCHIPHONEMES,
     Affix,
     Candidate,
     DEFAULT_AFFIXES,
@@ -25,6 +26,9 @@ from otkit.scheme import UnknownLetter, load_table
 
 WIDE = GenLimits(beam_width=5000, max_candidates=5000)
 OT_LETTERS = sorted(load_table().ot_to_latin)
+STEMS = ["ol", "gel", "üç", "kapı", "göz", "su", "ev", "kitap", "iki", "amele", "hoca", "at",
+         "kız", "gül"]
+AFFIX_NAMES = [a.name for a in DEFAULT_AFFIXES]
 
 
 @pytest.fixture
@@ -107,20 +111,57 @@ class TestGenerateCandidates:
         assert by_surface["ba"].gen_score == pytest.approx(0.5 * by_surface["b"].gen_score)
 
 
-class TestAffix:
-    def test_realizations_of_dan(self):
-        (affix,) = [a for a in DEFAULT_AFFIXES if a.name == "-Dan"]
-        assert affix.realizations() == {"dan", "den", "tan", "ten"}
+def _spells(stem, chain, word):
+    if not chain:
+        return stem == word
+    try:
+        return apply_harmony(stem, chain) == word
+    except NoVowelInStem:
+        return False
 
-    def test_realizations_of_optional_vowel(self):
-        (affix,) = [a for a in DEFAULT_AFFIXES if a.name == "-(I)ncI"]
-        bare = {"ncı", "nci", "ncu", "ncü"}
-        with_vowel = {v + form for v, form in itertools.product("ıiuü", bare)}
-        assert affix.realizations() == bare | with_vowel
-        assert len(affix.realizations()) == 20
+
+@st.composite
+def _words_and_lexicons(draw):
+    """A stem with 0-2 suffixes attached, maybe one suffix letter swapped for
+    another of its archiphoneme row, and a lexicon of that stem plus one more."""
+    stem = draw(st.sampled_from(STEMS))
+    word = apply_harmony(stem, draw(st.lists(st.sampled_from(AFFIX_NAMES), max_size=2)))
+    rows = {ch: row for row in _ARCHIPHONEMES.values() for ch in row}
+    swappable = [i for i in range(len(stem), len(word)) if word[i] in rows]
+    if swappable and draw(st.booleans()):
+        i = draw(st.sampled_from(swappable))
+        letter = draw(st.sampled_from([ch for ch in rows[word[i]] if ch != word[i]]))
+        word = word[:i] + letter + word[i + 1 :]
+    return word, Lexicon(frozenset({stem, draw(st.sampled_from(STEMS))}))
 
 
 class TestStripAffixes:
+    @settings(max_examples=200, deadline=None)
+    @given(_words_and_lexicons())
+    @example(("gazetelar", Lexicon(frozenset({"gazete"}))))
+    @example(("geldu", Lexicon(frozenset({"gel"}))))
+    @example(("kitaplerdan", Lexicon(frozenset({"kitap"}))))
+    @example(("ameleinci", Lexicon(frozenset({"amele"}))))
+    @example(("ikiinci", Lexicon(frozenset({"iki"}))))
+    def test_matches_brute_force(self, case):
+        # Every lexicon prefix of the word with every chain short enough to
+        # fit (each suffix adds at least two letters) that harmony spells it as.
+        word, lexicon = case
+        expected = {
+            (word[:end], chain)
+            for end in range(len(word) + 1)
+            if lexicon.contains(word[:end])
+            for n in range((len(word) - end) // 2 + 1)
+            for chain in itertools.product(AFFIX_NAMES, repeat=n)
+            if _spells(word[:end], chain, word)
+        }
+        assert strip_affixes(word, lexicon) == expected
+
+    def test_stem_without_vowel_takes_no_suffix(self):
+        lexicon = Lexicon(frozenset({"krk"}))
+        assert strip_affixes("krk", lexicon) == {("krk", ())}
+        assert strip_affixes("krkti", lexicon) == set()
+
     @given(
         st.sampled_from(["ol", "gel", "üç", "kapı", "göz", "su", "ev", "kitap", "iki", "amele",
                          "hoca", "at", "kız", "gül"]),
