@@ -1,45 +1,4 @@
 """otkit: ground-truth preparation, romanization, and evaluation for
 Arabic-script Ottoman Turkish transcribed into Latin-script Modern Turkish."""
 
-from .graphemes import (
-    GraphemeLine,
-    ReversalOptions,
-    RunKind,
-    RunSegment,
-    reverse_document,
-    reverse_line,
-    segment_line,
-    segment_runs,
-)
-from .scheme import (
-    SchemeId,
-    SchemeTable,
-    UnknownLetter,
-    UnknownScheme,
-    convert_scheme,
-    load_table,
-    ot_letter_candidates,
-    validate_scheme_text,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GraphemeLine",
-    "ReversalOptions",
-    "RunKind",
-    "RunSegment",
-    "SchemeId",
-    "SchemeTable",
-    "UnknownLetter",
-    "UnknownScheme",
-    "convert_scheme",
-    "load_table",
-    "ot_letter_candidates",
-    "reverse_document",
-    "reverse_line",
-    "segment_line",
-    "segment_runs",
-    "validate_scheme_text",
-    "__version__",
-]

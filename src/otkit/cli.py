@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import evaluation, ingest, lm
-from .graphemes import ReversalOptions, reverse_line
+from .graphemes import reverse_line
 from .romanizer import (
     ExceptionLexicon,
     GenLimits,
@@ -21,20 +21,15 @@ from .romanizer import (
     OTWord,
     romanize,
 )
-from .scheme import (
-    SchemeId,
-    UnknownLetter,
-    convert_scheme,
-    load_table,
-)
+from .scheme import SchemeId, convert_scheme, load_table
 
 
 class _UsageError(Exception):
     pass
 
 
-# Every other data error otkit raises is a ValueError.
-_DATA_ERRORS = (UnknownLetter, OSError, ValueError)
+# Every data error otkit raises is a ValueError.
+_DATA_ERRORS = (OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,12 +116,14 @@ def build_parser() -> _Parser:
 
 
 def _cmd_reverse(args) -> int:
-    opts = ReversalOptions(
-        mirror_brackets=args.mirror_brackets,
-        preserve_digit_runs=not args.no_digit_runs,
+    mirror, keep_digits = args.mirror_brackets, not args.no_digit_runs
+    _write_lines(
+        [
+            reverse_line(line, mirror_brackets=mirror, preserve_digit_runs=keep_digits)
+            for line in _read_lines(args.input)
+        ],
+        args.output,
     )
-    lines = _read_lines(args.input)
-    _write_lines([reverse_line(line, opts) for line in lines], args.output)
     return 0
 
 
@@ -173,7 +170,7 @@ def _cmd_romanize(args) -> int:
             ranked = romanize(
                 word, table, lexicon, exceptions, model, limits, alpha=args.alpha
             )
-        except (UnknownLetter, ValueError) as exc:
+        except ValueError as exc:
             print(f"otkit: {raw}: {type(exc).__name__}: {exc}", file=sys.stderr)
             failed = True
             continue
@@ -272,12 +269,15 @@ def _cmd_prepare(args) -> int:
         if shared:
             raise ValueError(f"pages share an output name: {', '.join(shared)}")
         base = Path(args.manifest).parent
-        for entry in manifest.entries:
-            if not _prepare_one(
+        prepared = [
+            _prepare_one(
                 base / entry.page_file, base / entry.transcript_file, out_dir, reverse
-            ):
-                return 2
-        print(f"prepared {len(manifest.entries)} pages", file=sys.stderr)
+            )
+            for entry in manifest.entries
+        ]
+        if not all(prepared):
+            return 2
+        print(f"prepared {len(prepared)} pages", file=sys.stderr)
         return 0
     if not (args.page and args.transcript):
         raise _UsageError("prepare needs --manifest or both --page and --transcript")

@@ -125,8 +125,8 @@ def levenshtein_align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
 
 
 def _grapheme_counts(ref: str, hyp: str) -> tuple[int, int]:
-    ref_g = segment_line(ref).graphemes
-    return levenshtein_align(ref_g, segment_line(hyp).graphemes).distance, len(ref_g)
+    ref_g = segment_line(ref)
+    return levenshtein_align(ref_g, segment_line(hyp)).distance, len(ref_g)
 
 
 def _token_counts(ref: str, hyp: str) -> tuple[int, int]:

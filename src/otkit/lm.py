@@ -167,26 +167,17 @@ def perplexity(model: NgramModel, corpus: Iterable[str]) -> float:
     return math.exp(-total / n)
 
 
-@dataclass(frozen=True)
-class RescoreConfig:
-    """Weight between generation prior (alpha) and LM score (1 - alpha)."""
-
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-
-
-def rescore(candidates, model: NgramModel, config: RescoreConfig = RescoreConfig()):
+def rescore(candidates, model: NgramModel, alpha: float = 0.5):
     """Rank candidates by alpha*log(gen) + (1-alpha)*lm, ties broken by surface."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
     if not candidates:
         raise ValueError("candidate set must be non-empty")
     rescored = []
     for cand in candidates:
         gen_log = math.log(cand.gen_score) if cand.gen_score > 0 else -math.inf
         lm_log = score(model, [cand.surface])
-        total = config.alpha * gen_log + (1.0 - config.alpha) * lm_log
+        total = alpha * gen_log + (1.0 - alpha) * lm_log
         rescored.append(replace(cand, total=total))
     rescored.sort(key=lambda c: (-c.total, c.surface))
     return rescored

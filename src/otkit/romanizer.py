@@ -381,9 +381,9 @@ def romanize(
     pool = passing if passing else list(result.candidates)
 
     if lm_model is not None:
-        from .lm import RescoreConfig, rescore
+        from .lm import rescore
 
-        return rescore(pool, lm_model, RescoreConfig(alpha=alpha))
+        return rescore(pool, lm_model, alpha)
 
     scored = [replace(c, total=math.log(c.gen_score)) for c in pool]
     scored.sort(key=lambda c: (-c.total, c.surface))

@@ -28,8 +28,11 @@ _LONG_VOWELS = "âîûÂÎÛ"
 LOOSE_LETTERS = frozenset(_MT_LOWER + _MT_UPPER + _LONG_VOWELS)
 
 
-class UnknownLetter(KeyError):
+class UnknownLetter(ValueError):
     """Raised for a letter outside the loaded OT alphabet."""
+
+    def __str__(self) -> str:
+        return repr(self.args[0])
 
 
 class UnknownScheme(ValueError):
@@ -68,6 +71,7 @@ class SchemeTable:
     diacritic_strip: dict[str, str]
 
     def candidates(self, letter: str) -> tuple[str, ...]:
+        """All MT realizations of an OT letter, in generation-priority order."""
         try:
             return self.ot_to_latin[unicodedata.normalize("NFC", letter)]
         except KeyError:
@@ -78,13 +82,9 @@ class SchemeTable:
         return LOOSE_LETTERS | frozenset(self.diacritic_strip)
 
 
-def data_dir() -> Path:
-    override = os.environ.get(_DATA_DIR_ENV)
-    return Path(override) if override else _DEFAULT_DATA_DIR
-
-
-def load_table(directory: Path | None = None) -> SchemeTable:
-    base = Path(directory) if directory else data_dir()
+def load_table() -> SchemeTable:
+    """Load the tables from `OTKIT_SCHEME_DIR`, or the packaged ones if it is unset or empty."""
+    base = Path(os.environ.get(_DATA_DIR_ENV) or _DEFAULT_DATA_DIR)
     alphabet = json.loads((base / "ot_alphabet.json").read_text("utf-8"))
     strip = json.loads((base / "ia_to_loose.json").read_text("utf-8"))
     return SchemeTable(
@@ -93,11 +93,6 @@ def load_table(directory: Path | None = None) -> SchemeTable:
         mt_vowels=tuple(alphabet["mt_vowels"]),
         diacritic_strip=dict(strip["strip"]),
     )
-
-
-def ot_letter_candidates(letter: str, table: SchemeTable) -> tuple[str, ...]:
-    """All MT realizations of an OT letter, in generation-priority order."""
-    return table.candidates(letter)
 
 
 def convert_scheme(
@@ -116,8 +111,7 @@ def convert_scheme(
             f"unsupported conversion: {from_scheme.value} -> {to_scheme.value}"
         )
     strip = table.diacritic_strip
-    line = segment_line(text)
-    return "".join(strip.get(g, g) for g in line.graphemes)
+    return "".join(strip.get(g, g) for g in segment_line(text))
 
 
 def _scheme_letters(scheme: SchemeId, table: SchemeTable) -> frozenset[str]:
@@ -141,7 +135,7 @@ def validate_scheme_text(text: str, scheme: SchemeId, table: SchemeTable) -> lis
     allowed = _scheme_letters(scheme, table)
     diagnostics = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        for col, g in enumerate(segment_line(raw).graphemes, start=1):
+        for col, g in enumerate(segment_line(raw), start=1):
             if _is_alphabetic(g) and g not in allowed:
                 diagnostics.append(Diagnostic(line_no, col, g))
     return diagnostics

@@ -24,7 +24,7 @@ from otkit.romanizer import (
     check_vowel_harmony,
     romanize,
 )
-from otkit.scheme import load_table, ot_letter_candidates
+from otkit.scheme import load_table
 
 # diacritics always ride a base letter: precomposed forms plus decomposed
 # base+combining-mark pairs (which may or may not NFC-compose)
@@ -53,7 +53,7 @@ def test_criterion_2_reversal_fidelity():
     assert reverse_line("ğâbil") == "libâğ"
 
     def oracle(text):
-        graphemes = list(reversed(segment_line(text).graphemes))
+        graphemes = list(reversed(segment_line(text)))
         i = 0
         while i < len(graphemes):
             if graphemes[i].isdigit():
@@ -80,7 +80,7 @@ def test_criterion_3_polyphony_chart_rows():
         "ی": ("y", "a", "ı", "i"),
     }
     for letter, expected in rows.items():
-        assert ot_letter_candidates(letter, table) == expected
+        assert table.candidates(letter) == expected
 
 
 def test_criterion_4_romanization_anchor():
@@ -197,7 +197,7 @@ def test_criterion_8_rescoring_reduces_micro_cer():
     )
     with_lm = micro_cer(
         [
-            lm.rescore(cands, model, lm.RescoreConfig(alpha=0.5))[0].surface
+            lm.rescore(cands, model, alpha=0.5)[0].surface
             for cands in candidate_lists
         ]
     )

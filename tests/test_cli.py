@@ -340,6 +340,24 @@ class TestPrepareAndSplit:
         assert code == 2
         assert err.startswith(f"otkit: {tmp_path / 'p2.xml'}: {error}")
 
+    def test_bad_page_does_not_stop_the_batch(self, tmp_path, monkeypatch, capsys):
+        entries = []
+        for n in (1, 2, 3):
+            page = "<PcGts" if n == 2 else PAGE
+            (tmp_path / f"p{n}.xml").write_text(page, "utf-8")
+            (tmp_path / f"t{n}.txt").write_text("gavuruñ\nsayfa 12\n", "utf-8")
+            entries.append({"page": f"p{n}.xml", "transcript": f"t{n}.txt"})
+        (tmp_path / "manifest.json").write_text(json.dumps({"entries": entries}), "utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = invoke(
+            monkeypatch, capsys,
+            ["prepare", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out_dir)],
+        )
+        assert code == 2
+        assert sorted(p.name for p in out_dir.iterdir()) == ["p1.txt", "p3.txt"]
+        assert (out_dir / "p3.txt").read_text("utf-8") == "ñuruvag\n12 afyas\n"
+        assert [line.split(": ")[1] for line in err.splitlines()] == [str(tmp_path / "p2.xml")]
+
     @pytest.mark.parametrize(
         "manifest",
         [

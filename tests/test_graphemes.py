@@ -2,15 +2,7 @@ import unicodedata
 
 from hypothesis import given, strategies as st
 
-from otkit.graphemes import (
-    ReversalOptions,
-    RunKind,
-    RunSegment,
-    reverse_document,
-    reverse_line,
-    segment_line,
-    segment_runs,
-)
+from otkit.graphemes import reverse_line, segment_line
 
 # mixed Latin, Turkish diacritics (precomposed and decomposed, always riding
 # a base letter), digits (ASCII and Arabic-Indic), punctuation
@@ -21,16 +13,33 @@ TEXT_TOKENS = (
 
 text_strategy = st.lists(st.sampled_from(TEXT_TOKENS), max_size=30).map("".join)
 
+FLAG_COMBINATIONS = [
+    {"mirror_brackets": mirror, "preserve_digit_runs": digits}
+    for mirror in (False, True)
+    for digits in (False, True)
+]
+bracket_text_strategy = st.lists(
+    st.sampled_from(TEXT_TOKENS + list("()[]{}<>")), max_size=30
+).map("".join)
+
+
+def _runs(graphemes: tuple[str, ...]) -> list[tuple[bool, list[str]]]:
+    """Maximal runs of digit and non-digit graphemes, found by a plain scan."""
+    runs: list[tuple[bool, list[str]]] = []
+    for g in graphemes:
+        is_digit = g.isdigit()
+        if runs and runs[-1][0] == is_digit:
+            runs[-1][1].append(g)
+        else:
+            runs.append((is_digit, [g]))
+    return runs
+
 
 def reversal_oracle(text: str) -> str:
     """Independent route: reverse run order, reversing only non-digit runs."""
-    line = segment_line(text)
     out = []
-    for run in reversed(segment_runs(line)):
-        chunk = list(line.graphemes[run.start : run.end])
-        if run.kind is RunKind.REVERSIBLE:
-            chunk.reverse()
-        out.extend(chunk)
+    for is_digit, run in reversed(_runs(segment_line(text))):
+        out.extend(run if is_digit else reversed(run))
     return "".join(out)
 
 
@@ -43,53 +52,14 @@ class TestSegmentLine:
         decomposed = segment_line("gavuruñ")
         assert len(precomposed) == 7
         assert precomposed == decomposed
-        assert precomposed.graphemes[-1] == "ñ"
+        assert precomposed[-1] == "ñ"
 
     def test_hand_count(self):
         assert len(segment_line("şa'âtleri")) == 9
 
     def test_concatenation_reproduces_nfc(self):
         s = "şa'âtleri"
-        assert segment_line(s).text == unicodedata.normalize("NFC", s)
-
-
-class TestSegmentRuns:
-    def test_mixed(self):
-        runs = segment_runs(segment_line("ab12cd"))
-        assert runs == [
-            RunSegment(RunKind.REVERSIBLE, 0, 2),
-            RunSegment(RunKind.DIGIT_RUN, 2, 4),
-            RunSegment(RunKind.REVERSIBLE, 4, 6),
-        ]
-
-    def test_single_digit_run(self):
-        assert segment_runs(segment_line("1912")) == [
-            RunSegment(RunKind.DIGIT_RUN, 0, 4)
-        ]
-
-    def test_no_digits(self):
-        assert segment_runs(segment_line("abc")) == [
-            RunSegment(RunKind.REVERSIBLE, 0, 3)
-        ]
-
-    def test_arabic_indic_digits(self):
-        runs = segment_runs(segment_line("a١٢b"))
-        assert [r.kind for r in runs] == [
-            RunKind.REVERSIBLE,
-            RunKind.DIGIT_RUN,
-            RunKind.REVERSIBLE,
-        ]
-
-    @given(text_strategy)
-    def test_runs_cover_and_are_ordered(self, s):
-        line = segment_line(s)
-        runs = segment_runs(line)
-        pos = 0
-        for run in runs:
-            assert run.start == pos
-            assert run.end > run.start
-            pos = run.end
-        assert pos == len(line)
+        assert "".join(segment_line(s)) == unicodedata.normalize("NFC", s)
 
 
 class TestReverseLine:
@@ -104,12 +74,10 @@ class TestReverseLine:
         assert reverse_line("") == ""
 
     def test_digit_runs_not_preserved_when_disabled(self):
-        opts = ReversalOptions(preserve_digit_runs=False)
-        assert reverse_line("sayfa 12", opts) == "21 afyas"
+        assert reverse_line("sayfa 12", preserve_digit_runs=False) == "21 afyas"
 
     def test_mirror_brackets(self):
-        opts = ReversalOptions(mirror_brackets=True)
-        assert reverse_line("(ab)", opts) == "(ba)"
+        assert reverse_line("(ab)", mirror_brackets=True) == "(ba)"
         assert reverse_line("(ab)") == ")ba("
 
     def test_combining_mark_stays_on_base(self):
@@ -130,23 +98,12 @@ class TestReverseLine:
     @given(text_strategy)
     def test_digit_run_multiset_preserved(self, s):
         def digit_runs(text):
-            line = segment_line(text)
-            return sorted(
-                "".join(line.graphemes[r.start : r.end])
-                for r in segment_runs(line)
-                if r.kind is RunKind.DIGIT_RUN
-            )
+            return sorted("".join(run) for is_digit, run in _runs(segment_line(text)) if is_digit)
 
         assert digit_runs(reverse_line(s)) == digit_runs(s)
 
-
-class TestReverseDocument:
-    def test_element_wise(self):
-        assert reverse_document(["ab", "cd"]) == ["ba", "dc"]
-
-    def test_empty(self):
-        assert reverse_document([]) == []
-
-    def test_mixed_lines_compose_per_line(self):
-        lines = ["gavuruñ", "sayfa 12", "no 1912 a"]
-        assert reverse_document(lines) == [reverse_line(l) for l in lines]
+    @given(bracket_text_strategy)
+    def test_involution_under_every_flag_combination(self, s):
+        for flags in FLAG_COMBINATIONS:
+            twice = reverse_line(reverse_line(s, **flags), **flags)
+            assert twice == unicodedata.normalize("NFC", s), flags

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from otkit import lm
-from otkit.lm import EmptyCorpus, RescoreConfig, UNK
+from otkit.lm import EmptyCorpus, UNK
 from otkit.romanizer import Candidate
 
 
@@ -177,21 +177,21 @@ class TestRescore:
     def test_lm_only_prefers_trained_word(self):
         model = lm.train(["amele geldi"], order=1)
         ranked = lm.rescore(
-            [_cand("imle", 0.9), _cand("amele", 0.1)], model, RescoreConfig(alpha=0.0)
+            [_cand("imle", 0.9), _cand("amele", 0.1)], model, alpha=0.0
         )
         assert [c.surface for c in ranked] == ["amele", "imle"]
 
     def test_alpha_one_keeps_generation_order(self):
         model = lm.train(["imle"], order=1)
         ranked = lm.rescore(
-            [_cand("amele", 0.9), _cand("imle", 0.1)], model, RescoreConfig(alpha=1.0)
+            [_cand("amele", 0.9), _cand("imle", 0.1)], model, alpha=1.0
         )
         assert [c.surface for c in ranked] == ["amele", "imle"]
 
     def test_lexicographic_tie_break(self):
         model = lm.train(["x"], order=1)
         ranked = lm.rescore(
-            [_cand("bb", 0.5), _cand("aa", 0.5)], model, RescoreConfig(alpha=1.0)
+            [_cand("bb", 0.5), _cand("aa", 0.5)], model, alpha=1.0
         )
         assert [c.surface for c in ranked] == ["aa", "bb"]
 
@@ -201,8 +201,14 @@ class TestRescore:
             lm.rescore([], model)
 
     def test_alpha_validated(self):
+        model = lm.train(["x"], order=1)
         with pytest.raises(ValueError):
-            RescoreConfig(alpha=1.5)
+            lm.rescore([_cand("x", 0.5)], model, alpha=1.5)
+
+    def test_nan_alpha_refused(self):
+        model = lm.train(["x"], order=1)
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            lm.rescore([_cand("x", 0.5)], model, alpha=math.nan)
 
 
 class TestSerialization:

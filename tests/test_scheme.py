@@ -1,15 +1,22 @@
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import otkit.scheme
 from otkit.graphemes import segment_line
 from otkit.scheme import (
     SchemeId,
     UnknownLetter,
     UnknownScheme,
     convert_scheme,
-    ot_letter_candidates,
+    load_table,
     validate_scheme_text,
 )
+
+PACKAGED_SCHEMES = Path(otkit.scheme.__file__).parent / "data" / "schemes"
 
 # frozen copy of the published polyphony chart
 POLYPHONY_ROWS = {
@@ -34,23 +41,23 @@ ia_text_strategy = st.lists(st.sampled_from(IA_TOKENS), max_size=25).map("".join
 class TestCandidates:
     @pytest.mark.parametrize("letter,expected", sorted(POLYPHONY_ROWS.items()))
     def test_polyphony_rows_verbatim(self, table, letter, expected):
-        assert ot_letter_candidates(letter, table) == expected
+        assert table.candidates(letter) == expected
 
     def test_unknown_letter(self, table):
         with pytest.raises(UnknownLetter):
-            ot_letter_candidates("x", table)
+            table.candidates("x")
 
     def test_polyphonic_letters_have_multiple_alternatives(self, table):
         for letter in POLYPHONY_ROWS:
-            assert len(ot_letter_candidates(letter, table)) >= 2
+            assert len(table.candidates(letter)) >= 2
 
     @pytest.mark.parametrize("letter", sorted(MONOPHONIC))
     def test_monophonic_letters_have_one_alternative(self, table, letter):
-        assert len(ot_letter_candidates(letter, table)) == 1
+        assert len(table.candidates(letter)) == 1
 
     def test_ayn_is_present_with_vowel_alternatives(self, table):
         # required to read عمله even though it is outside the polyphony chart
-        alternatives = ot_letter_candidates("ع", table)
+        alternatives = table.candidates("ع")
         assert "a" in alternatives and "i" in alternatives
 
     def test_eight_mt_vowels(self, table):
@@ -87,7 +94,7 @@ class TestConvertScheme:
     @given(ia_text_strategy)
     def test_count_changes_only_by_dropped_carriers(self, table, s):
         out = convert_scheme(s, SchemeId.IA, SchemeId.LOOSE, table)
-        dropped = sum(1 for g in segment_line(s).graphemes if g in ("ʿ", "ʾ"))
+        dropped = sum(1 for g in segment_line(s) if g in ("ʿ", "ʾ"))
         assert len(segment_line(out)) == len(segment_line(s)) - dropped
 
     @given(ia_text_strategy)
@@ -115,3 +122,19 @@ class TestValidate:
     def test_line_numbers(self, table):
         diags = validate_scheme_text("oldu\ngavuruñ", SchemeId.LOOSE, table)
         assert [(d.line, d.column) for d in diags] == [(2, 7)]
+
+
+class TestLoadTable:
+    def test_scheme_dir_replaces_packaged_tables(self, tmp_path, monkeypatch):
+        for name in ("ot_alphabet.json", "ia_to_loose.json"):
+            shutil.copy(PACKAGED_SCHEMES / name, tmp_path / name)
+        path = tmp_path / "ot_alphabet.json"
+        alphabet = json.loads(path.read_text("utf-8"))
+        alphabet["ot_to_latin"]["ض"] = ["z", "d"]
+        path.write_text(json.dumps(alphabet, ensure_ascii=False), "utf-8")
+        monkeypatch.setenv("OTKIT_SCHEME_DIR", str(tmp_path))
+        assert load_table().candidates("ض") == ("z", "d")
+
+    def test_empty_scheme_dir_means_packaged_tables(self, monkeypatch):
+        monkeypatch.setenv("OTKIT_SCHEME_DIR", "")
+        assert load_table().candidates("ض") == ("d", "z")
