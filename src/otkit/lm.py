@@ -44,7 +44,7 @@ class _AddK:
     """
 
     order: int
-    counts: dict[tuple[str, ...], Counter]
+    counts: dict[tuple[str, ...], dict[str, int]]
     vocab: frozenset[str]
     k: float
     _totals: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
@@ -205,7 +205,7 @@ def _from_json(data, cls: type[_AddK] = _AddK, **extra) -> _AddK:
         raise ValueError(f"malformed model file: needs {', '.join(_JSON_TYPES)}")
     try:
         counts = {
-            tuple(key.split(_KEY_SEP)) if key else (): Counter(value)
+            tuple(key.split(_KEY_SEP)) if key else (): value
             for key, value in data["counts"].items()
         }
         return cls(data["order"], counts, frozenset(data["vocab"]), data["k"], **extra)

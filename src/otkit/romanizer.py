@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -219,6 +222,28 @@ def _letter_alternatives(
     return table.candidates(letter)
 
 
+def _rank(states: list) -> None:
+    """Sort (surface, score, ...) tuples in place: highest score first, equal
+    scores by surface, full ties in their current order.
+
+    Two stable C-level sorts give the order of key=(-score, surface) without
+    calling a Python key function per item.
+    """
+    states.sort(key=itemgetter(0))
+    states.sort(key=itemgetter(1), reverse=True)
+
+
+def _cutoff(counts: dict[float, int], width: int) -> float:
+    """The least score the `width` best items reach, given how many items
+    have each score; -inf when there are no more than `width` items."""
+    kept = 0
+    for score in sorted(counts, reverse=True):
+        kept += counts[score]
+        if kept >= width:
+            return score
+    return -math.inf
+
+
 def generate_candidates(
     word: OTWord, table: SchemeTable, limits: GenLimits = GenLimits()
 ) -> GenerationResult:
@@ -227,51 +252,76 @@ def generate_candidates(
     Each candidate substitutes every letter with one table alternative and may
     insert epenthetic vowels between adjacent consonant realizations or after a
     word-final consonant, bounded by the insertion budget and beam width.
+
+    The beam keeps, per letter, the `beam_width` best partial readings by
+    score, ties by surface. Extensions are first counted per score, and only
+    those that reach the beam's cutoff score are built.
     """
     max_ins = limits.insertions_for(word)
+    vowels = table.mt_vowels
     truncated = False
 
-    # beam state: (surface, score, insertions_used)
+    # beam state: (surface, score, insertions_used), best first
     beam: list[tuple[str, float, int]] = [("", 1.0, 0)]
     for i in range(len(word.letters)):
-        alternatives = _letter_alternatives(word, i, table)
-        next_beam = []
-        for surface, score, used in beam:
-            for alt_index, alt in enumerate(alternatives):
-                weight = 1.0 / (1 + alt_index)
-                # epenthesis between two consonant realizations
-                if (
-                    used < max_ins
-                    and surface
-                    and not _is_vowel(surface[-1])
-                    and alt
-                    and not _is_vowel(alt[0])
-                ):
-                    for vowel in table.mt_vowels:
-                        next_beam.append(
-                            (surface + vowel + alt, score * INSERTION_PENALTY * weight, used + 1)
-                        )
-                next_beam.append((surface + alt, score * weight, used))
-        next_beam.sort(key=lambda s: (-s[1], s[0]))
-        if len(next_beam) > limits.beam_width:
+        # (weight, alternative, whether a vowel may be inserted before it)
+        alternatives = [
+            (1.0 / (1 + alt_index), alt, bool(alt) and not _is_vowel(alt[0]))
+            for alt_index, alt in enumerate(_letter_alternatives(word, i, table))
+        ]
+        # A vowel may be inserted after a consonant while the budget lasts.
+        parents = [
+            (surface, score, used, used < max_ins and bool(surface) and not _is_vowel(surface[-1]))
+            for surface, score, used in beam
+        ]
+        counts: Counter[float] = Counter()
+        for (score, can_insert), n in Counter((p[1], p[3]) for p in parents).items():
+            for weight, _, before_consonant in alternatives:
+                if can_insert and before_consonant:
+                    counts[score * INSERTION_PENALTY * weight] += n * len(vowels)
+                counts[score * weight] += n
+        if sum(counts.values()) > limits.beam_width:
             truncated = True
-            next_beam = next_beam[: limits.beam_width]
-        beam = next_beam
+        cutoff = _cutoff(counts, limits.beam_width)
 
-    finished = [(surface, score) for surface, score, _ in beam]
-    for surface, score, used in beam:
-        if used < max_ins and surface and not _is_vowel(surface[-1]):
-            for vowel in table.mt_vowels:
-                finished.append((surface + vowel, score * INSERTION_PENALTY))
+        next_beam = []
+        for surface, score, used, can_insert in parents:
+            if score < cutoff:
+                break  # weights are at most 1: no later state reaches the cutoff
+            for weight, alt, before_consonant in alternatives:
+                if can_insert and before_consonant:
+                    inserted = score * INSERTION_PENALTY * weight
+                    if inserted >= cutoff:
+                        next_beam.extend((surface + v + alt, inserted, used + 1) for v in vowels)
+                extended = score * weight
+                if extended >= cutoff:
+                    next_beam.append((surface + alt, extended, used))
+        _rank(next_beam)
+        beam = next_beam[: limits.beam_width]
 
+    # Whole-word readings: each state as it is, or with a vowel after its
+    # final consonant. They are taken a score at a time, best first, until
+    # more than max_candidates distinct readings are in: no later reading can
+    # rank among those, and a reading first seen has its best score.
+    as_is = [(surface, score, ("",)) for surface, score, _ in beam]
+    with_vowel = [
+        (surface, score * INSERTION_PENALTY, vowels)
+        for surface, score, used in beam
+        if used < max_ins and surface and not _is_vowel(surface[-1])
+    ]
     best: dict[str, float] = {}
-    for surface, score in finished:
-        if surface not in best or score > best[surface]:
-            best[surface] = score
-    ordered = sorted(best.items(), key=lambda s: (-s[1], s[0]))
-    if len(ordered) > limits.max_candidates:
+    by_score = sorted(as_is + with_vowel, key=itemgetter(1), reverse=True)
+    for score, group in groupby(by_score, itemgetter(1)):
+        if len(best) > limits.max_candidates:
+            break
+        for surface, _, endings in group:
+            for ending in endings:
+                best.setdefault(surface + ending, score)
+    if len(best) > limits.max_candidates:
         truncated = True
-        ordered = ordered[: limits.max_candidates]
+    ordered = list(best.items())
+    _rank(ordered)
+    del ordered[limits.max_candidates :]
     candidates = tuple(Candidate(surface=s, gen_score=score) for s, score in ordered)
     return GenerationResult(candidates, truncated)
 

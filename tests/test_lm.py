@@ -1,11 +1,15 @@
+import io
+import json
 import math
 import random
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from otkit import lm
+from otkit.cli import run
 from otkit.lm import EmptyCorpus, UNK
 from otkit.romanizer import Candidate
 
@@ -225,6 +229,18 @@ class TestSerialization:
         lm.save(model, first)
         lm.save(lm.load(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("table", [["a", "a", "zz"], "aab"], ids=["list", "string"])
+    def test_count_table_must_be_an_object(self, table, tmp_path, monkeypatch, capsys):
+        # Read as counts, a list would count its items and a string its characters.
+        path = tmp_path / "model.json"
+        lm.save(lm.train(["amele geldi"], order=2), path)
+        payload = json.loads(path.read_text("utf-8"))
+        payload["counts"][next(iter(payload["counts"]))] = table
+        path.write_text(json.dumps(payload), "utf-8")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("amele zzz\n"))
+        assert run(["lm-score", "--model", str(path)]) == 2
+        assert "malformed model file" in capsys.readouterr().err
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,10 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 from otkit import lm
 from otkit.romanizer import (
     _ARCHIPHONEMES,
+    INSERTION_PENALTY,
+    _is_vowel,
+    _letter_alternatives,
     Affix,
     Candidate,
     DEFAULT_AFFIXES,
     ExceptionLexicon,
+    GenerationResult,
     GenLimits,
     Lexicon,
     NoVowelInStem,
@@ -54,6 +58,65 @@ class TestOTWord:
             OTWord(())
 
 
+def _reference_generate(word, table, limits=GenLimits()):
+    """The generator as a full sort of every extension at every letter: the
+    definition of the beam that generate_candidates prunes exactly."""
+    max_ins = limits.insertions_for(word)
+    truncated = False
+
+    # beam state: (surface, score, insertions_used)
+    beam: list[tuple[str, float, int]] = [("", 1.0, 0)]
+    for i in range(len(word.letters)):
+        alternatives = _letter_alternatives(word, i, table)
+        next_beam = []
+        for surface, score, used in beam:
+            for alt_index, alt in enumerate(alternatives):
+                weight = 1.0 / (1 + alt_index)
+                # epenthesis between two consonant realizations
+                if (
+                    used < max_ins
+                    and surface
+                    and not _is_vowel(surface[-1])
+                    and alt
+                    and not _is_vowel(alt[0])
+                ):
+                    for vowel in table.mt_vowels:
+                        next_beam.append(
+                            (surface + vowel + alt, score * INSERTION_PENALTY * weight, used + 1)
+                        )
+                next_beam.append((surface + alt, score * weight, used))
+        next_beam.sort(key=lambda s: (-s[1], s[0]))
+        if len(next_beam) > limits.beam_width:
+            truncated = True
+            next_beam = next_beam[: limits.beam_width]
+        beam = next_beam
+
+    finished = [(surface, score) for surface, score, _ in beam]
+    for surface, score, used in beam:
+        if used < max_ins and surface and not _is_vowel(surface[-1]):
+            for vowel in table.mt_vowels:
+                finished.append((surface + vowel, score * INSERTION_PENALTY))
+
+    best: dict[str, float] = {}
+    for surface, score in finished:
+        if surface not in best or score > best[surface]:
+            best[surface] = score
+    ordered = sorted(best.items(), key=lambda s: (-s[1], s[0]))
+    if len(ordered) > limits.max_candidates:
+        truncated = True
+        ordered = ordered[: limits.max_candidates]
+    candidates = tuple(Candidate(surface=s, gen_score=score) for s, score in ordered)
+    return GenerationResult(candidates, truncated)
+
+
+_LIMITS = st.builds(
+    GenLimits,
+    max_insertions=st.none() | st.integers(0, 3),
+    beam_width=st.integers(1, 8) | st.just(500),
+    max_candidates=st.integers(1, 8) | st.just(50),
+)
+
+
 class TestGenerateCandidates:
     def test_paper_readings_of_amele(self, table):
         surfaces = generate_candidates(OTWord.from_text("عمله", table), table, WIDE).surfaces()
@@ -85,6 +148,27 @@ class TestGenerateCandidates:
         result = generate_candidates(word, table, replace(WIDE, max_insertions=0))
         assert not result.truncated
         assert set(result.surfaces()) == {"".join(p) for p in itertools.product(*rows)}
+
+    # Word-initial alif reads as any vowel and hamza reads as nothing, so both
+    # are drawn at the start of a word as well as anywhere in it.
+    @settings(deadline=None)
+    @given(
+        text=st.tuples(
+            st.sampled_from(["", "ا", "ء"]),
+            st.lists(st.sampled_from(OT_LETTERS), min_size=1, max_size=8).map("".join),
+        ).map("".join),
+        limits=_LIMITS,
+    )
+    @example(text="عمله", limits=GenLimits(beam_width=4))  # cut inside a tie group
+    @example(text="عمله", limits=GenLimits(beam_width=4, max_candidates=4))
+    # All 289 readings, "bovu" among them both as b+(o)v+u at 1/6 and as
+    # b+o+v+(u) at 1/4
+    @example(text="بوو", limits=GenLimits(max_candidates=500))
+    @example(text="كوكرجين", limits=GenLimits())
+    def test_ranking_matches_full_sort(self, table, text, limits):
+        # Same readings in the same order, bit-equal scores, same truncation.
+        word = OTWord.from_text(text, table)
+        assert generate_candidates(word, table, limits) == _reference_generate(word, table, limits)
 
     def test_monophonic_no_insertions_is_singleton(self, table):
         word = OTWord.from_text("برد", table)  # b, r, d: one alternative each
