@@ -191,7 +191,13 @@ def _cmd_lm_train(args) -> int:
         backoff_weight=args.backoff_weight,
     )
     lm.save(model, args.output)
-    print(f"trained order-{args.order} model on {len(lines)} lines", file=sys.stderr)
+    # train skips lines without tokens, so they are not reported either.
+    sizes = [len(lm.tokenize(line)) for line in lines]
+    print(
+        f"trained order-{args.order} model on {len(sizes) - sizes.count(0)} lines, "
+        f"{sum(sizes)} tokens",
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import unicodedata
-from collections import Counter
 from itertools import chain
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -104,14 +103,19 @@ def _spelling_logprob(chars: _AddK, word: str) -> float:
 
 def _count(
     sequences: Iterable[Sequence[str]], order: int, pad: str
-) -> dict[tuple[str, ...], Counter]:
+) -> dict[tuple[str, ...], dict[str, int]]:
     """Count every n-gram of each sequence after left-padding it with order-1 `pad`s."""
-    counts: dict[tuple[str, ...], Counter] = {}
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
     for sequence in sequences:
         padded = (pad,) * (order - 1) + tuple(sequence)
         # One step per symbol, also for an order < 1, which the model then refuses.
         for i, token in enumerate(sequence):
-            counts.setdefault(padded[i : i + order - 1], Counter())[token] += 1
+            history = padded[i : i + order - 1]
+            # Not setdefault: it would build a throwaway dict for every symbol.
+            table = counts.get(history)
+            if table is None:
+                table = counts[history] = {}
+            table[token] = table.get(token, 0) + 1
     return counts
 
 
@@ -184,14 +188,12 @@ def rescore(candidates, model: NgramModel, alpha: float = 0.5):
 
 
 def _to_json(model: _AddK) -> dict:
+    # save() sorts every object's keys; only the vocab list needs sorting here.
     return {
         "order": model.order,
         "k": model.k,
         "vocab": sorted(model.vocab),
-        "counts": {
-            _KEY_SEP.join(history): dict(sorted(counter.items()))
-            for history, counter in sorted(model.counts.items())
-        },
+        "counts": {_KEY_SEP.join(history): table for history, table in model.counts.items()},
     }
 
 
@@ -210,6 +212,13 @@ def _from_json(data, cls: type[_AddK] = _AddK, **extra) -> _AddK:
         }
         return cls(data["order"], counts, frozenset(data["vocab"]), data["k"], **extra)
     except (TypeError, ValueError) as exc:
+        # Looked for only on this path, so a well-formed file pays nothing.
+        tables = data["counts"].items()
+        bad = next((key for key, table in tables if not isinstance(table, dict)), None)
+        if bad is not None:
+            raise ValueError(
+                f"malformed model file: count table {bad!r} is not a JSON object"
+            ) from exc
         raise ValueError(f"malformed model file: {exc}") from exc
 
 

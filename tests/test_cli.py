@@ -210,6 +210,16 @@ class TestLmRoundTrip:
         assert code == 0
         assert out.startswith("-")
 
+    def test_train_reports_lines_with_tokens(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("amele geldi\n\n   \namele oldu ,\n", "utf-8")
+        code, _, err = invoke(
+            monkeypatch, capsys,
+            ["lm-train", str(corpus), "-o", str(tmp_path / "model.json"), "--order", "1"],
+        )
+        assert code == 0
+        assert err == "trained order-1 model on 2 lines, 5 tokens\n"
+
 
 class TestRomanizeCommand:
     def test_exception_entry(self, tmp_path, monkeypatch, capsys):

@@ -4,6 +4,9 @@ import math
 import random
 import string
 import sys
+import unicodedata
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +49,66 @@ class TestTrain:
         a = lm.train(corpus)
         b = lm.train(list(reversed(corpus)))
         assert a.counts == b.counts and a.vocab == b.vocab
+
+
+def naive_counts(sequences, order, pad):
+    """One Counter over whole n-grams, each sequence left-padded with order-1 `pad`s,
+    then split into {history: {token: count}}."""
+    grams = Counter()
+    for sequence in sequences:
+        padded = [pad] * (order - 1) + list(sequence)
+        for i in range(order - 1, len(padded)):
+            grams[tuple(padded[i - order + 1 : i + 1])] += 1
+    tables = {}
+    for gram, n in grams.items():
+        tables.setdefault(gram[:-1], {})[gram[-1]] = n
+    return tables
+
+
+def sorting_to_json(model):
+    """The model writer as it was when it sorted every table itself."""
+    return {
+        "order": model.order,
+        "k": model.k,
+        "vocab": sorted(model.vocab),
+        "counts": {
+            "\x1f".join(history): dict(sorted(counter.items()))
+            for history, counter in sorted(model.counts.items())
+        },
+    }
+
+
+# "c" + U+0327 composes to "ç" under NFC; U+0307 has no precomposed form with "ı".
+_LINE = st.text(alphabet=["a", "ç", "ı", "c", "\u0327", "\u0307", " ", "\t"], max_size=14)
+
+
+class TestCountOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        corpus=st.lists(_LINE, min_size=1, max_size=6).filter(lambda c: any(map(str.split, c))),
+        order=st.integers(1, 4),
+        char_order=st.integers(1, 4),
+    )
+    def test_counts_match_naive_recount(self, corpus, order, char_order, tmp_path_factory):
+        model = lm.train(corpus, order=order, char_order=char_order)
+        lines = [t for t in (unicodedata.normalize("NFC", c).split() for c in corpus) if t]
+        # Words are padded with <s>; each word's characters with \x02, ended by \x03.
+        assert model.counts == naive_counts(lines, order, "<s>")
+        spellings = [[*word, "\x03"] for line in lines for word in line]
+        assert model.char_backoff.counts == naive_counts(spellings, char_order, "\x02")
+        for table in (*model.counts.values(), *model.char_backoff.counts.values()):
+            assert all(type(n) is int and n > 0 for n in table.values())
+
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        lm.save(model, path)
+        payload = {
+            "format_version": lm.FORMAT_VERSION,
+            "backoff_weight": model.backoff_weight,
+            **sorting_to_json(model),
+            "char_backoff": sorting_to_json(model.char_backoff),
+        }
+        expected = json.dumps(payload, ensure_ascii=False, sort_keys=True)
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestNormalization:
@@ -240,7 +303,21 @@ class TestSerialization:
         path.write_text(json.dumps(payload), "utf-8")
         monkeypatch.setattr(sys, "stdin", io.StringIO("amele zzz\n"))
         assert run(["lm-score", "--model", str(path)]) == 2
-        assert "malformed model file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed model file" in err
+        assert "count table '<s>' is not a JSON object" in err
+        assert "descriptor" not in err
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_golden_model_bytes(self, order, tmp_path):
+        # The files pin what lm-train wrote (default options) while it still
+        # sorted every table itself. Line 8's "çocuk" is decomposed
+        # (c + U+0327), and two lines hold no token.
+        data = Path(__file__).parent / "data"
+        lines = (data / "lm_corpus.txt").read_text("utf-8").splitlines()
+        path = tmp_path / "model.json"
+        lm.save(lm.train(lines, order=order), path)
+        assert path.read_bytes() == (data / f"lm_order{order}.json").read_bytes()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
