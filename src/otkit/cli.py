@@ -212,30 +212,30 @@ def _cmd_lm_score(args) -> int:
     return 0
 
 
+def _doc_lines(path: Path) -> list[str]:
+    return path.read_text("utf-8").splitlines()
+
+
 def _collect_eval_pairs(ref: Path, hyp: Path):
+    """(meta, ref_lines, hyp_lines) per document; hyp_lines is None where a
+    directory holds no hypothesis for a reference."""
     if ref.is_dir() != hyp.is_dir():
         raise ValueError("--ref and --hyp must both be files or both directories")
-    if ref.is_dir():
-        pairs = []
-        for ref_file in sorted(ref.glob("*.txt")):
-            hyp_file = hyp / ref_file.name
-            if not hyp_file.exists():
-                raise FileNotFoundError(hyp_file)
-            pairs.append(
-                (
-                    evaluation.DocumentMeta(name=ref_file.stem),
-                    ref_file.read_text("utf-8").splitlines(),
-                    hyp_file.read_text("utf-8").splitlines(),
-                )
+    if not ref.is_dir():
+        return [(evaluation.DocumentMeta(name=ref.stem), _doc_lines(ref), _doc_lines(hyp))]
+    pairs = []
+    for ref_file in sorted(ref.glob("*.txt")):
+        hyp_file = hyp / ref_file.name
+        pairs.append(
+            (
+                evaluation.DocumentMeta(name=ref_file.stem),
+                _doc_lines(ref_file),
+                _doc_lines(hyp_file) if hyp_file.exists() else None,
             )
-        return pairs
-    return [
-        (
-            evaluation.DocumentMeta(name=ref.stem),
-            ref.read_text("utf-8").splitlines(),
-            hyp.read_text("utf-8").splitlines(),
         )
-    ]
+    if not pairs:
+        raise ValueError(f"no *.txt documents to score in {ref}")
+    return pairs
 
 
 def _cmd_eval(args) -> int:
@@ -247,7 +247,7 @@ def _cmd_eval(args) -> int:
         sys.stdout.write(report.render_table() + "\n")
     for meta, reason in report.skipped:
         print(f"skipped {meta.name}: {reason}", file=sys.stderr)
-    return 2 if report.skipped and not report.rows else 0
+    return 0 if report.rows else 2
 
 
 def _prepare_one(

@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graphemes import segment_line
 
@@ -22,23 +21,8 @@ class EmptyReference(ValueError):
     """Error rates are undefined against an empty reference."""
 
 
-class EditOp(Enum):
-    MATCH = "match"
-    SUBSTITUTE = "substitute"
-    INSERT = "insert"
-    DELETE = "delete"
-
-
-@dataclass(frozen=True)
-class AlignmentStep:
-    op: EditOp
-    ref: Optional[str]  # reference grapheme/token, None for insertions
-    hyp: Optional[str]  # hypothesis grapheme/token, None for deletions
-
-
 @dataclass(frozen=True)
 class Alignment:
-    ops: tuple[AlignmentStep, ...]
     substitutions: int
     insertions: int
     deletions: int
@@ -48,19 +32,9 @@ class Alignment:
     def distance(self) -> int:
         return self.substitutions + self.insertions + self.deletions
 
-    def replay(self) -> list[str]:
-        """Apply the ops to the reference, reproducing the hypothesis."""
-        out = []
-        for step in self.ops:
-            if step.op is EditOp.MATCH:
-                out.append(step.ref)
-            elif step.op in (EditOp.SUBSTITUTE, EditOp.INSERT):
-                out.append(step.hyp)
-        return out
-
 
 def levenshtein_align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
-    """Minimal unit-cost alignment with deterministic traceback.
+    """Edit and match counts of a minimal unit-cost alignment, by deterministic traceback.
 
     The distances come from the bit-parallel edit distance of Myers (1999,
     J. ACM 46(3)) in the global form of Hyyrö (2001): one bit per reference
@@ -92,7 +66,6 @@ def levenshtein_align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
         mv = ph & xv
         cols.append((pv, mv))
 
-    ops: list[AlignmentStep] = []
     i, j = n, m
     d = m + pv.bit_count() - mv.bit_count()  # D[i][j]; each step but a match lowers it by 1
     s = ins = dele = matches = 0
@@ -100,7 +73,6 @@ def levenshtein_align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
         if i > 0 and j > 0:
             # Equal graphemes always give D[i][j] == D[i-1][j-1].
             if ref[i - 1] == hyp[j - 1]:
-                ops.append(AlignmentStep(EditOp.MATCH, ref[i - 1], hyp[j - 1]))
                 matches += 1
                 i, j = i - 1, j - 1
                 continue
@@ -108,20 +80,16 @@ def levenshtein_align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
             prev_pv, prev_mv = cols[j - 1]
             low = (1 << (i - 1)) - 1
             if d == j + (prev_pv & low).bit_count() - (prev_mv & low).bit_count():
-                ops.append(AlignmentStep(EditOp.SUBSTITUTE, ref[i - 1], hyp[j - 1]))
                 s += 1
                 i, j, d = i - 1, j - 1, d - 1
                 continue
         if i > 0 and cols[j][0] >> (i - 1) & 1:
-            ops.append(AlignmentStep(EditOp.DELETE, ref[i - 1], None))
             dele += 1
             i, d = i - 1, d - 1
         else:
-            ops.append(AlignmentStep(EditOp.INSERT, None, hyp[j - 1]))
             ins += 1
             j, d = j - 1, d - 1
-    ops.reverse()
-    return Alignment(tuple(ops), s, ins, dele, matches)
+    return Alignment(s, ins, dele, matches)
 
 
 def _grapheme_counts(ref: str, hyp: str) -> tuple[int, int]:
@@ -220,17 +188,20 @@ def document_counts(ref_lines: Sequence[str], hyp_lines: Sequence[str]):
 
 
 def corpus_report(
-    pairs: Sequence[tuple[DocumentMeta, Sequence[str], Sequence[str]]],
+    pairs: Sequence[tuple[DocumentMeta, Sequence[str], Sequence[str] | None]],
 ) -> EvalReport:
     """Per-document micro CER/WER plus pooled totals.
 
-    Documents whose line counts differ, or whose reference holds nothing but
-    whitespace, are reported as skipped and excluded from the totals rather
-    than aborting the run.
+    Documents with no hypothesis (None), whose line counts differ, or whose
+    reference holds nothing but whitespace, are reported as skipped and
+    excluded from the totals rather than aborting the run.
     """
     rows = []
     skipped = []
     for meta, ref_lines, hyp_lines in pairs:
+        if hyp_lines is None:
+            skipped.append((meta, "no hypothesis file"))
+            continue
         if len(ref_lines) != len(hyp_lines):
             skipped.append(
                 (meta, f"line count mismatch ({len(ref_lines)} vs {len(hyp_lines)})")

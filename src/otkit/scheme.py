@@ -21,12 +21,6 @@ from .graphemes import segment_line
 _DATA_DIR_ENV = "OTKIT_SCHEME_DIR"
 _DEFAULT_DATA_DIR = Path(__file__).parent / "data" / "schemes"
 
-# Modern Turkish alphabet (29 letters) plus the long-vowel circumflex forms.
-_MT_LOWER = "abcçdefgğhıijklmnoöprsştuüvyz"
-_MT_UPPER = "ABCÇDEFGĞHIİJKLMNOÖPRSŞTUÜVYZ"
-_LONG_VOWELS = "âîûÂÎÛ"
-LOOSE_LETTERS = frozenset(_MT_LOWER + _MT_UPPER + _LONG_VOWELS)
-
 
 class UnknownLetter(ValueError):
     """Raised for a letter outside the loaded OT alphabet."""
@@ -52,16 +46,6 @@ class SchemeId(Enum):
 
 
 @dataclass(frozen=True)
-class Diagnostic:
-    line: int
-    column: int
-    grapheme: str
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.grapheme!r} not in scheme alphabet"
-
-
-@dataclass(frozen=True)
 class SchemeTable:
     """Immutable OT->MT correspondence table plus the IA->loose strip map."""
 
@@ -76,10 +60,6 @@ class SchemeTable:
             return self.ot_to_latin[unicodedata.normalize("NFC", letter)]
         except KeyError:
             raise UnknownLetter(letter) from None
-
-    @property
-    def ia_letters(self) -> frozenset[str]:
-        return LOOSE_LETTERS | frozenset(self.diacritic_strip)
 
 
 def load_table() -> SchemeTable:
@@ -113,29 +93,3 @@ def convert_scheme(
     strip = table.diacritic_strip
     return "".join(strip.get(g, g) for g in segment_line(text))
 
-
-def _scheme_letters(scheme: SchemeId, table: SchemeTable) -> frozenset[str]:
-    if scheme is SchemeId.LOOSE:
-        return LOOSE_LETTERS
-    if scheme is SchemeId.IA:
-        return table.ia_letters
-    raise UnknownScheme(str(scheme))
-
-
-def _is_alphabetic(grapheme: str) -> bool:
-    return any(unicodedata.category(ch).startswith("L") for ch in grapheme)
-
-
-def validate_scheme_text(text: str, scheme: SchemeId, table: SchemeTable) -> list[Diagnostic]:
-    """Flag every alphabetic grapheme outside the scheme's Latin alphabet.
-
-    Digits, punctuation, and whitespace always pass. Lines are numbered from 1
-    and columns are 1-based grapheme offsets.
-    """
-    allowed = _scheme_letters(scheme, table)
-    diagnostics = []
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        for col, g in enumerate(segment_line(raw), start=1):
-            if _is_alphabetic(g) and g not in allowed:
-                diagnostics.append(Diagnostic(line_no, col, g))
-    return diagnostics

@@ -193,6 +193,25 @@ class TestEval:
         assert code == 2
         assert err.splitlines() == ["skipped blank: empty reference"]
 
+    def test_missing_hypothesis_is_skipped(self, tmp_path, monkeypatch, capsys):
+        argv = self._write_docs(tmp_path, {"a": "abcd\n", "b": "gavuruñ\n"})
+        (tmp_path / "hyp" / "b.txt").unlink()
+        code, out, err = invoke(monkeypatch, capsys, argv + ["--report", "csv"])
+        assert code == 0
+        assert out.splitlines()[1:] == ["a,,,0.000000,0.000000", "TOTAL,,,0.000000,0.000000"]
+        assert err.splitlines() == ["skipped b: no hypothesis file"]
+        code, out, _ = invoke(monkeypatch, capsys, argv)
+        assert code == 0
+        assert out.splitlines()[-1] == "# skipped b: no hypothesis file"
+
+    def test_empty_reference_directory_is_data_error(self, tmp_path, monkeypatch, capsys):
+        argv = self._write_docs(tmp_path, {})
+        code, out, err = invoke(monkeypatch, capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert str(tmp_path / "ref") in err
+
 
 class TestLmRoundTrip:
     def test_train_then_score(self, tmp_path, monkeypatch, capsys):
