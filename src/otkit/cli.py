@@ -8,6 +8,7 @@ stderr. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from collections import Counter
 from pathlib import Path
@@ -21,7 +22,7 @@ from .romanizer import (
     OTWord,
     romanize,
 )
-from .scheme import SchemeId, convert_scheme, load_table
+from .scheme import convert_scheme, load_table
 
 
 class _UsageError(Exception):
@@ -38,8 +39,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_lines(path: str | None) -> list[str]:
+    """The lines of a file or of stdin; CRLF and CR end a line on both, as
+    Path.read_text reads them."""
     if path is None or path == "-":
-        return sys.stdin.read().split("\n")
+        return io.StringIO(sys.stdin.read(), newline=None).read().split("\n")
     return Path(path).read_text("utf-8").split("\n")
 
 
@@ -65,9 +68,9 @@ def build_parser() -> _Parser:
         help="reverse digits along with everything else",
     )
 
-    p = sub.add_parser("convert", help="convert transcription between schemes")
-    p.add_argument("--from", dest="from_scheme", default="ia", choices=["ia", "loose"])
-    p.add_argument("--to", dest="to_scheme", default="loose", choices=["ia", "loose"])
+    p = sub.add_parser("convert", help="convert IA transcription to the loose scheme")
+    p.add_argument("--from", default="ia", choices=["ia"])
+    p.add_argument("--to", default="loose", choices=["loose"])
     p.add_argument("--input", "-i", default=None)
     p.add_argument("--output", "-o", default=None)
 
@@ -129,12 +132,8 @@ def _cmd_reverse(args) -> int:
 
 def _cmd_convert(args) -> int:
     table = load_table()
-    from_scheme = SchemeId.parse(args.from_scheme)
-    to_scheme = SchemeId.parse(args.to_scheme)
-    lines = _read_lines(args.input)
     _write_lines(
-        [convert_scheme(line, from_scheme, to_scheme, table) for line in lines],
-        args.output,
+        [convert_scheme(line, table) for line in _read_lines(args.input)], args.output
     )
     return 0
 

@@ -64,13 +64,6 @@ class PageDocument:
         return [line for region in self.regions for line in region.lines]
 
 
-@dataclass(frozen=True)
-class PairedLine:
-    line_id: str
-    region_id: str
-    text: str
-
-
 def _tag(element: ET.Element) -> str:
     return element.tag.rsplit("}", 1)[-1]
 
@@ -160,30 +153,21 @@ def load_transcript(path: Path | str) -> list[str]:
     return [line for line in text.split("\n") if line.strip() != ""]
 
 
-def pair_ground_truth(doc: PageDocument, transcript: Sequence[str]) -> list[PairedLine]:
+def pair_ground_truth(doc: PageDocument, transcript: Sequence[str]) -> list[str]:
     """Pair document lines with transcript lines in reading order.
 
-    The text passes through verbatim (modulo NFC); typos stay typos.
+    Returns the transcript lines, one per document line (the i-th belongs to
+    doc.all_lines()[i]). The text passes through verbatim (modulo NFC); typos
+    stay typos.
     """
-    pairs = []
-    doc_lines = [
-        (region.region_id, line) for region in doc.regions for line in region.lines
-    ]
-    if len(doc_lines) != len(transcript):
-        raise LineCountMismatch(len(doc_lines), len(transcript))
-    for (region_id, line), text in zip(doc_lines, transcript):
-        pairs.append(
-            PairedLine(
-                line_id=line.line_id,
-                region_id=region_id,
-                text=unicodedata.normalize("NFC", text),
-            )
-        )
-    return pairs
+    expected = sum(len(region.lines) for region in doc.regions)
+    if expected != len(transcript):
+        raise LineCountMismatch(expected, len(transcript))
+    return [unicodedata.normalize("NFC", text) for text in transcript]
 
 
 def export_training_pairs(
-    documents: Sequence[tuple[str, Sequence[PairedLine]]],
+    documents: Sequence[tuple[str, Sequence[str]]],
     out_dir: Path | str,
     reverse: bool = True,
 ) -> list[Path]:
@@ -195,11 +179,10 @@ def export_training_pairs(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, pairs in documents:
+    for name, lines in documents:
         path = out / f"{name}.txt"
-        lines = [
-            reverse_line(p.text) if reverse else p.text for p in pairs
-        ]
+        if reverse:
+            lines = [reverse_line(line) for line in lines]
         try:
             path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
         except OSError as exc:
@@ -212,7 +195,7 @@ def export_training_pairs(
 class ManifestEntry:
     page_file: str
     transcript_file: str
-    scheme: str = "loose"
+    scheme: str = "loose"  # a label: prepare exports the text as it is
     name: str = ""
     subject: str = ""
     date: str = ""
@@ -243,7 +226,7 @@ class CorpusManifest:
 
 
 def load_manifest(path: Path | str) -> CorpusManifest:
-    base = Path(path).parent
+    """Read a manifest; its page and transcript files are not opened here."""
     data = json.loads(Path(path).read_text("utf-8"))
     raws = data.get("entries", []) if isinstance(data, dict) else None
     if not isinstance(raws, list):
@@ -258,19 +241,26 @@ def load_manifest(path: Path | str) -> CorpusManifest:
             raise ValueError(
                 f'{path}: malformed manifest: entry {i} needs "page" and "transcript" strings'
             )
-        entry = ManifestEntry(
-            page_file=raw["page"],
-            transcript_file=raw["transcript"],
-            scheme=raw.get("scheme", "loose"),
-            name=raw.get("name", ""),
-            subject=raw.get("subject", ""),
-            date=raw.get("date", ""),
-            split=raw.get("split"),
+        if raw.get("scheme", "loose") not in ("ia", "loose"):
+            raise ValueError(
+                f'{path}: malformed manifest: entry {i}: "scheme" must be "ia" or "loose"'
+            )
+        for key in ("name", "subject", "date", "split"):
+            if not isinstance(raw.get(key, ""), str):
+                raise ValueError(
+                    f'{path}: malformed manifest: entry {i}: "{key}" must be a string'
+                )
+        entries.append(
+            ManifestEntry(
+                page_file=raw["page"],
+                transcript_file=raw["transcript"],
+                scheme=raw.get("scheme", "loose"),
+                name=raw.get("name", ""),
+                subject=raw.get("subject", ""),
+                date=raw.get("date", ""),
+                split=raw.get("split"),
+            )
         )
-        for rel in (entry.page_file, entry.transcript_file):
-            if not (base / rel).exists():
-                raise FileNotFoundError(base / rel)
-        entries.append(entry)
     return CorpusManifest(tuple(entries), seed=data.get("seed"))
 
 

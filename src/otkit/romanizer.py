@@ -130,63 +130,41 @@ class GenerationResult:
 _ARCHIPHONEMES = {"A": "ae", "I": "ıiuü", "D": "dt"}
 
 
-@dataclass(frozen=True)
-class Affix:
-    """A suffix template in archiphoneme notation.
-
-    A/I/D realize by harmony and assimilation; a leading parenthesized segment
-    is present only after a consonant-final base.
-    """
-
-    name: str
-    template: str
-
-    def parts(self) -> tuple[str, str]:
-        """(optional, body): the parenthesized segment ("" if none) and the rest."""
-        if not self.template.startswith("("):
-            return "", self.template
-        close = self.template.index(")")
-        return self.template[1:close], self.template[close + 1 :]
-
-
-# The built-in suffix set, which every lexicon shares.
-DEFAULT_AFFIXES: tuple[Affix, ...] = (
-    Affix("-DI", "DI"),
-    Affix("-lAr", "lAr"),
-    Affix("-(I)ncI", "(I)ncI"),
-    Affix("-In", "In"),
-    Affix("-DA", "DA"),
-    Affix("-Dan", "DAn"),
-)
-
-_AFFIXES = {affix.name: affix for affix in DEFAULT_AFFIXES}
+# The built-in suffix set, which every lexicon shares, in the order
+# strip_affixes tries it. Each suffix name maps to its template in
+# archiphoneme notation, split into (optional, body): A/I/D realize by harmony
+# and assimilation, and the optional segment is present only after a
+# consonant-final base.
+SUFFIXES: dict[str, tuple[str, str]] = {
+    "-DI": ("", "DI"),
+    "-lAr": ("", "lAr"),
+    "-(I)ncI": ("I", "ncI"),
+    "-In": ("", "In"),
+    "-DA": ("", "DA"),
+    "-Dan": ("", "DAn"),
+}
 
 
 @dataclass(frozen=True)
 class Lexicon:
     stems: frozenset[str]
-    full_forms: frozenset[str] = frozenset()
 
     @classmethod
     def from_file(cls, path: Path | str) -> "Lexicon":
-        stems, fulls = set(), set()
+        """One stem per line; a `word<TAB>full` line is read as the stem `word`."""
+        stems = set()
         for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "\t" in line:
-                word, tag = line.split("\t", 1)
-                if tag.strip() == "full":
-                    fulls.add(_lower(unicodedata.normalize("NFC", word.strip())))
-                else:
-                    raise ValueError(f"{path}:{lineno}: unknown lexicon tag: {tag!r}")
-            else:
-                stems.add(_lower(unicodedata.normalize("NFC", line)))
-        return cls(frozenset(stems), frozenset(fulls))
+            word, _, tag = line.partition("\t")
+            if tag and tag.strip() != "full":
+                raise ValueError(f"{path}:{lineno}: unknown lexicon tag: {tag!r}")
+            stems.add(_lower(unicodedata.normalize("NFC", word.strip())))
+        return cls(frozenset(stems))
 
     def contains(self, surface: str) -> bool:
-        word = _lower(surface)
-        return word in self.stems or word in self.full_forms
+        return _lower(surface) in self.stems
 
 
 @dataclass(frozen=True)
@@ -329,10 +307,9 @@ def generate_candidates(
 def strip_affixes(surface: str, lexicon: Lexicon) -> set[tuple[str, tuple[str, ...]]]:
     """All (stem, affix chain) segmentations licensed by the lexicon.
 
-    From every prefix of the word that is an attested stem or full form,
-    suffixes are attached by harmony (as apply_harmony does); a segmentation
-    counts only if the result spells the word. Chains are returned in
-    application order.
+    From every prefix of the word that is an attested stem, suffixes are
+    attached by harmony (as apply_harmony does); a segmentation counts only
+    if the result spells the word. Chains are returned in application order.
     """
     word = _lower(surface)
     results: set[tuple[str, tuple[str, ...]]] = set()
@@ -341,10 +318,10 @@ def strip_affixes(surface: str, lexicon: Lexicon) -> set[tuple[str, tuple[str, .
         if built == word:
             results.add((stem, chain))
         elif _last_vowel(built) is not None:
-            for affix in DEFAULT_AFFIXES:
-                longer = _attach(built, affix)
+            for name in SUFFIXES:
+                longer = _attach(built, name)
                 if word.startswith(longer):
-                    walk(stem, longer, chain + (affix.name,))
+                    walk(stem, longer, chain + (name,))
 
     for end in range(len(word) + 1):
         if lexicon.contains(word[:end]):
@@ -352,25 +329,25 @@ def strip_affixes(surface: str, lexicon: Lexicon) -> set[tuple[str, tuple[str, .
     return results
 
 
-def apply_harmony(stem: str, chain: Iterable[str | Affix]) -> str:
+def apply_harmony(stem: str, chain: Iterable[str]) -> str:
     """Attach archiphonemic suffixes to a stem with MT harmony rules.
 
     A realizes as a/e (two-fold backness harmony); I as ı/i/u/ü (four-fold
     backness+rounding harmony); D as d/t (voicing assimilation). A leading
-    parenthesized segment is used only after a consonant. A suffix given by
-    name must be one of DEFAULT_AFFIXES; any other name raises KeyError.
+    parenthesized segment is used only after a consonant. Each suffix name
+    must be one of SUFFIXES; any other name raises KeyError.
     """
     word = stem
     if _last_vowel(word) is None:
         raise NoVowelInStem(stem)
-    for item in chain:
-        word = _attach(word, item if isinstance(item, Affix) else _AFFIXES[item])
+    for name in chain:
+        word = _attach(word, name)
     return word
 
 
-def _attach(word: str, affix: Affix) -> str:
-    """Realize one suffix after a word that has a vowel."""
-    optional, body = affix.parts()
+def _attach(word: str, name: str) -> str:
+    """Realize the suffix `name` after a word that has a vowel."""
+    optional, body = SUFFIXES[name]
     return _realize(word, body if _is_vowel(word[-1]) else optional + body)
 
 

@@ -1,10 +1,10 @@
 """Transcription schemes: the OT->MT correspondence table and IA/loose conventions.
 
-Two built-in schemes are supported. The IA scheme (Islam Ansiklopedisi) uses
-diacritical marks to keep polyphonic letters apart; the loose scheme marks only
-long vowels (â/î/û) and uses no other diacritics. The correspondence table and
-the IA->loose strip map live in JSON data files so further schemes can be added
-without code changes.
+The IA scheme (Islam Ansiklopedisi) uses diacritical marks to keep polyphonic
+letters apart; the loose scheme marks only long vowels (â/î/û) and uses no
+other diacritics. IA text converts to loose, not back. The correspondence
+table and the IA->loose strip map live in JSON data files, so a table can be
+changed without code changes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import os
 import unicodedata
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .graphemes import segment_line
@@ -27,22 +26,6 @@ class UnknownLetter(ValueError):
 
     def __str__(self) -> str:
         return repr(self.args[0])
-
-
-class UnknownScheme(ValueError):
-    """Raised for an unsupported scheme or conversion direction."""
-
-
-class SchemeId(Enum):
-    IA = "ia"
-    LOOSE = "loose"
-
-    @classmethod
-    def parse(cls, name: str) -> "SchemeId":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise UnknownScheme(f"unknown scheme: {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -75,21 +58,13 @@ def load_table() -> SchemeTable:
     )
 
 
-def convert_scheme(
-    text: str, from_scheme: SchemeId, to_scheme: SchemeId, table: SchemeTable
-) -> str:
-    """Convert transcription text between schemes.
+def convert_scheme(text: str, table: SchemeTable) -> str:
+    """Convert IA transcription text to the loose scheme.
 
-    Only IA -> loose is supported (IA is strictly richer, so the reverse would
-    have to invent information). The conversion is idempotent: loose text is a
-    fixed point.
+    IA -> loose is the only direction: IA is strictly richer, so the reverse
+    would have to invent information. The conversion is idempotent: loose text
+    is a fixed point.
     """
-    if to_scheme is from_scheme:
-        return unicodedata.normalize("NFC", text)
-    if not (from_scheme is SchemeId.IA and to_scheme is SchemeId.LOOSE):
-        raise UnknownScheme(
-            f"unsupported conversion: {from_scheme.value} -> {to_scheme.value}"
-        )
     strip = table.diacritic_strip
     return "".join(strip.get(g, g) for g in segment_line(text))
 

@@ -220,7 +220,7 @@ def test_criterion_9_ingest_round_trips(tmp_path):
 
     transcript = ["gavuruñ bitdi isemrügö", "sayfa 12"]  # "bitdi": preserved typo
     pairs = ingest.pair_ground_truth(doc, transcript)
-    assert pairs[0].text == unicodedata.normalize("NFC", transcript[0])
+    assert pairs[0] == unicodedata.normalize("NFC", transcript[0])
 
     (path,) = ingest.export_training_pairs([("page", pairs)], tmp_path, reverse=True)
     read_back = path.read_text("utf-8").split("\n")[:-1]

@@ -50,6 +50,13 @@ class TestReverse:
         assert out == ""
         assert dst.read_text("utf-8") == "libâğ\n"
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_stdin_newlines_read_like_a_file(self, newline, monkeypatch, capsys):
+        text = f"sayfa 12{newline}gavuruñ{newline}"
+        code, out, _ = invoke(monkeypatch, capsys, ["reverse"], stdin=text)
+        assert code == 0
+        assert out == "12 afyas\nñuruvag\n"
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, monkeypatch, capsys):
@@ -141,6 +148,18 @@ class TestConvert:
         )
         assert code == 0
         assert out == "kahvenin"
+
+    @pytest.mark.parametrize(
+        "from_scheme,to_scheme", [("loose", "ia"), ("ia", "ia"), ("loose", "loose")]
+    )
+    def test_only_ia_to_loose_is_offered(self, from_scheme, to_scheme, monkeypatch, capsys):
+        code, out, err = invoke(
+            monkeypatch, capsys, ["convert", "--from", from_scheme, "--to", to_scheme],
+            stdin="kahve",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("otkit: error: argument --")
 
 
 class TestEval:
@@ -387,14 +406,47 @@ class TestPrepareAndSplit:
         assert (out_dir / "p3.txt").read_text("utf-8") == "ñuruvag\n12 afyas\n"
         assert [line.split(": ")[1] for line in err.splitlines()] == [str(tmp_path / "p2.xml")]
 
+    def test_missing_transcript_does_not_stop_the_batch(self, tmp_path, monkeypatch, capsys):
+        self._write_corpus(tmp_path)
+        (tmp_path / "p2.xml").write_text(PAGE, "utf-8")
+        manifest = json.loads((tmp_path / "manifest.json").read_text("utf-8"))
+        manifest["entries"].insert(0, {"page": "p2.xml", "transcript": "missing.txt"})
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = invoke(
+            monkeypatch, capsys,
+            ["prepare", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out_dir)],
+        )
+        assert code == 2
+        assert err.startswith(f"otkit: {tmp_path / 'p2.xml'}: FileNotFoundError: ")
+        assert "missing.txt" in err
+        assert len(err.splitlines()) == 1
+        assert [p.name for p in out_dir.iterdir()] == ["p1.txt"]
+        assert (out_dir / "p1.txt").read_text("utf-8") == "ñuruvag\n12 afyas\n"
+
+    def test_split_does_not_open_the_files(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"entries": [{"page": "nope.xml", "transcript": "nope.txt"}]}),
+                        "utf-8")
+        code, _, _ = invoke(monkeypatch, capsys, ["split", "--manifest", str(path),
+                                                  "-o", str(tmp_path / "split.json")])
+        assert code == 0
+        entries = json.loads((tmp_path / "split.json").read_text("utf-8"))["entries"]
+        assert [e["split"] for e in entries] == ["train"]
+
     @pytest.mark.parametrize(
         "manifest",
         [
             {"entries": [{"transcript": "t1.txt"}]},
             [{"page": "p1.xml", "transcript": "t1.txt"}],
             {"entries": ["p1.xml"]},
+            {"entries": [{"page": "p1.xml", "transcript": "t1.txt", "scheme": 7}]},
+            {"entries": [{"page": "p1.xml", "transcript": "t1.txt", "scheme": "IA"}]},
+            {"entries": [{"page": "p1.xml", "transcript": "t1.txt", "date": 1906}]},
+            {"entries": [{"page": "p1.xml", "transcript": "t1.txt", "split": ["train"]}]},
         ],
-        ids=["entry-without-page", "top-level-list", "string-entry"],
+        ids=["entry-without-page", "top-level-list", "string-entry", "numeric-scheme",
+             "unknown-scheme", "numeric-date", "list-split"],
     )
     def test_malformed_manifest_is_data_error(self, manifest, tmp_path, monkeypatch, capsys):
         path = tmp_path / "manifest.json"
@@ -441,12 +493,15 @@ def run_quietly(argv, stdin=""):
 # Orders stay small: every line is padded with order - 1 symbols.
 _INTS = st.integers(-2, 6).map(str) | st.sampled_from(["nan", "inf", "1.5"])
 _FLOATS = (st.floats() | st.floats(0, 1)).map(str)
+_SCHEMES = st.sampled_from(["ia", "loose", "IA", ""]) | st.text(max_size=6)
 
 
 @settings(max_examples=60, deadline=None)
 @given(order=_INTS, char_order=_INTS, k=_FLOATS, weight=_FLOATS,
-       ratios=st.lists(_FLOATS, min_size=3, max_size=3), alpha=_FLOATS, top=_INTS)
-def test_numeric_options_keep_the_exit_contract(order, char_order, k, weight, ratios, alpha, top):
+       ratios=st.lists(_FLOATS, min_size=3, max_size=3), alpha=_FLOATS, top=_INTS,
+       from_scheme=_SCHEMES, to_scheme=_SCHEMES)
+def test_numeric_options_keep_the_exit_contract(order, char_order, k, weight, ratios, alpha, top,
+                                                from_scheme, to_scheme):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         corpus, model, manifest = work / "corpus.txt", work / "model.json", work / "manifest.json"
@@ -460,6 +515,7 @@ def test_numeric_options_keep_the_exit_contract(order, char_order, k, weight, ra
             ["split", "--manifest", str(manifest), "--ratios", ",".join(ratios),
              "-o", str(work / "split.json")],
             ["romanize", "--alpha", alpha, "--top", top],
+            ["convert", "--from", from_scheme, "--to", to_scheme],
         ):
             code, _, err = run_quietly(argv)
             assert code in (0, 1, 2)

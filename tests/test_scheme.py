@@ -7,13 +7,7 @@ from hypothesis import given, strategies as st
 
 import otkit.scheme
 from otkit.graphemes import segment_line
-from otkit.scheme import (
-    SchemeId,
-    UnknownLetter,
-    UnknownScheme,
-    convert_scheme,
-    load_table,
-)
+from otkit.scheme import UnknownLetter, convert_scheme, load_table
 
 PACKAGED_SCHEMES = Path(otkit.scheme.__file__).parent / "data" / "schemes"
 
@@ -75,30 +69,26 @@ class TestCandidates:
 
 class TestConvertScheme:
     def test_reference_word(self, table):
-        assert convert_scheme("gavuruñ", SchemeId.IA, SchemeId.LOOSE, table) == "gavurun"
+        assert convert_scheme("gavuruñ", table) == "gavurun"
 
     def test_strip_diacritic(self, table):
-        assert convert_scheme("ḳahve", SchemeId.IA, SchemeId.LOOSE, table) == "kahve"
+        assert convert_scheme("ḳahve", table) == "kahve"
 
     def test_long_vowel_is_fixed_point(self, table):
-        assert convert_scheme("kitâb", SchemeId.IA, SchemeId.LOOSE, table) == "kitâb"
+        assert convert_scheme("kitâb", table) == "kitâb"
 
     def test_ayn_and_hamza_dropped(self, table):
-        assert convert_scheme("şaʿatleri", SchemeId.IA, SchemeId.LOOSE, table) == "şaatleri"
-        assert convert_scheme("meʾmur", SchemeId.IA, SchemeId.LOOSE, table) == "memur"
-
-    def test_unsupported_direction(self, table):
-        with pytest.raises(UnknownScheme):
-            convert_scheme("kahve", SchemeId.LOOSE, SchemeId.IA, table)
+        assert convert_scheme("şaʿatleri", table) == "şaatleri"
+        assert convert_scheme("meʾmur", table) == "memur"
 
     @given(ia_text_strategy)
     def test_idempotent(self, table, s):
-        once = convert_scheme(s, SchemeId.IA, SchemeId.LOOSE, table)
-        assert convert_scheme(once, SchemeId.IA, SchemeId.LOOSE, table) == once
+        once = convert_scheme(s, table)
+        assert convert_scheme(once, table) == once
 
     @given(ia_text_strategy)
     def test_count_changes_only_by_dropped_carriers(self, table, s):
-        out = convert_scheme(s, SchemeId.IA, SchemeId.LOOSE, table)
+        out = convert_scheme(s, table)
         dropped = sum(1 for g in segment_line(s) if g in ("ʿ", "ʾ"))
         assert len(segment_line(out)) == len(segment_line(s)) - dropped
 
@@ -106,7 +96,7 @@ class TestConvertScheme:
     def test_loose_output_validates_clean(self, table, s):
         # IA_TOKENS are letters and spaces, so every output grapheme must be
         # a loose-scheme letter or a space.
-        out = convert_scheme(s, SchemeId.IA, SchemeId.LOOSE, table)
+        out = convert_scheme(s, table)
         assert set(segment_line(out)) <= LOOSE_LETTERS | {" "}
 
 
