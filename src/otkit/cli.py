@@ -80,7 +80,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", default=None, help="trained LM file")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--max-insertions", type=int, default=None)
-    p.add_argument("--beam", type=int, default=500)
     p.add_argument("--max-candidates", type=int, default=50)
     p.add_argument("--top", type=int, default=5, help="candidates printed per word")
 
@@ -146,7 +145,6 @@ def _cmd_romanize(args) -> int:
     try:
         limits = GenLimits(
             max_insertions=args.max_insertions,
-            beam_width=args.beam,
             max_candidates=args.max_candidates,
         )
     except ValueError as exc:

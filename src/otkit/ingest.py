@@ -226,7 +226,10 @@ class CorpusManifest:
 
 
 def load_manifest(path: Path | str) -> CorpusManifest:
-    """Read a manifest; its page and transcript files are not opened here."""
+    """Read a manifest; its page and transcript files are not opened here.
+
+    A "seed" key is ignored: only split_corpus records the seed it used.
+    """
     data = json.loads(Path(path).read_text("utf-8"))
     raws = data.get("entries", []) if isinstance(data, dict) else None
     if not isinstance(raws, list):
@@ -261,7 +264,7 @@ def load_manifest(path: Path | str) -> CorpusManifest:
                 split=raw.get("split"),
             )
         )
-    return CorpusManifest(tuple(entries), seed=data.get("seed"))
+    return CorpusManifest(tuple(entries))
 
 
 def save_manifest(manifest: CorpusManifest, path: Path | str) -> None:

@@ -100,14 +100,13 @@ class Candidate:
 @dataclass(frozen=True)
 class GenLimits:
     max_insertions: Optional[int] = None  # None: ceil(letters / 2)
-    beam_width: int = 500
     max_candidates: int = 50
 
     def __post_init__(self):
         if self.max_insertions is not None and self.max_insertions < 0:
             raise ValueError("max_insertions must be non-negative")
-        if self.beam_width <= 0 or self.max_candidates <= 0:
-            raise ValueError("beam width and max candidates must be positive")
+        if self.max_candidates <= 0:
+            raise ValueError("max candidates must be positive")
 
     def insertions_for(self, word: OTWord) -> int:
         if self.max_insertions is not None:
@@ -229,11 +228,13 @@ def generate_candidates(
 
     Each candidate substitutes every letter with one table alternative and may
     insert epenthetic vowels between adjacent consonant realizations or after a
-    word-final consonant, bounded by the insertion budget and beam width.
+    word-final consonant, bounded by the insertion budget.
 
-    The beam keeps, per letter, the `beam_width` best partial readings by
-    score, ties by surface. Extensions are first counted per score, and only
-    those that reach the beam's cutoff score are built.
+    The beam keeps, per letter, every partial reading that scores at least
+    the K-th best, K = max_candidates, ties included. No top-K reading is
+    lost: first alternatives weigh 1 and a reading may end as it is, so
+    distinct partial readings complete distinctly at their own scores.
+    Extensions are counted per score first; only those at the cutoff are built.
     """
     max_ins = limits.insertions_for(word)
     vowels = table.mt_vowels
@@ -258,11 +259,11 @@ def generate_candidates(
                 if can_insert and before_consonant:
                     counts[score * INSERTION_PENALTY * weight] += n * len(vowels)
                 counts[score * weight] += n
-        if sum(counts.values()) > limits.beam_width:
+        if sum(counts.values()) > limits.max_candidates:
             truncated = True
-        cutoff = _cutoff(counts, limits.beam_width)
+        cutoff = _cutoff(counts, limits.max_candidates)
 
-        next_beam = []
+        beam = []
         for surface, score, used, can_insert in parents:
             if score < cutoff:
                 break  # weights are at most 1: no later state reaches the cutoff
@@ -270,12 +271,11 @@ def generate_candidates(
                 if can_insert and before_consonant:
                     inserted = score * INSERTION_PENALTY * weight
                     if inserted >= cutoff:
-                        next_beam.extend((surface + v + alt, inserted, used + 1) for v in vowels)
+                        beam.extend((surface + v + alt, inserted, used + 1) for v in vowels)
                 extended = score * weight
                 if extended >= cutoff:
-                    next_beam.append((surface + alt, extended, used))
-        _rank(next_beam)
-        beam = next_beam[: limits.beam_width]
+                    beam.append((surface + alt, extended, used))
+        _rank(beam)
 
     # Whole-word readings: each state as it is, or with a vowel after its
     # final consonant. They are taken a score at a time, best first, until

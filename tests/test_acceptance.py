@@ -93,7 +93,7 @@ def test_criterion_4_romanization_anchor():
         lexicon,
         ExceptionLexicon(),
         lm_model=model,
-        limits=GenLimits(beam_width=5000, max_candidates=5000),
+        limits=GenLimits(max_candidates=5000),
     )
     surfaces = [c.surface for c in ranked]
     assert surfaces[0] == "amele"

@@ -288,12 +288,11 @@ class TestRomanizeCommand:
             ["--alpha", "1.5"],
             ["--alpha", "-0.1"],
             ["--alpha", "nan"],
-            ["--beam", "0"],
             ["--max-candidates", "0"],
             ["--max-insertions", "-1"],
         ],
         ids=["top-0", "top-negative", "alpha-above-1", "alpha-negative", "alpha-nan",
-             "beam-0", "max-candidates-0", "max-insertions-negative"],
+             "max-candidates-0", "max-insertions-negative"],
     )
     def test_out_of_range_option_is_usage_error(self, flags, tmp_path, monkeypatch, capsys):
         # A model file that does not exist shows the check comes before any input is read.
@@ -303,6 +302,12 @@ class TestRomanizeCommand:
         assert out == ""
         assert err.startswith("otkit: error: ")
 
+    def test_beam_is_not_an_option(self, monkeypatch, capsys):
+        # 500 was --beam's default; --max-candidates now sets the beam.
+        code, out, err = invoke(monkeypatch, capsys, ["romanize", "--beam", "500"], stdin="عمله\n")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("otkit: error: unrecognized arguments: --beam")
 
     def test_unknown_letter_fails_only_its_word(self, monkeypatch, capsys):
         code, out, err = invoke(
@@ -499,9 +504,10 @@ _SCHEMES = st.sampled_from(["ia", "loose", "IA", ""]) | st.text(max_size=6)
 @settings(max_examples=60, deadline=None)
 @given(order=_INTS, char_order=_INTS, k=_FLOATS, weight=_FLOATS,
        ratios=st.lists(_FLOATS, min_size=3, max_size=3), alpha=_FLOATS, top=_INTS,
-       from_scheme=_SCHEMES, to_scheme=_SCHEMES)
+       max_candidates=_INTS, max_insertions=_INTS, from_scheme=_SCHEMES, to_scheme=_SCHEMES)
 def test_numeric_options_keep_the_exit_contract(order, char_order, k, weight, ratios, alpha, top,
-                                                from_scheme, to_scheme):
+                                                max_candidates, max_insertions, from_scheme,
+                                                to_scheme):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         corpus, model, manifest = work / "corpus.txt", work / "model.json", work / "manifest.json"
@@ -514,7 +520,8 @@ def test_numeric_options_keep_the_exit_contract(order, char_order, k, weight, ra
              "--char-order", char_order, "--add-k", k, "--backoff-weight", weight],
             ["split", "--manifest", str(manifest), "--ratios", ",".join(ratios),
              "-o", str(work / "split.json")],
-            ["romanize", "--alpha", alpha, "--top", top],
+            ["romanize", "--alpha", alpha, "--top", top, "--max-candidates", max_candidates,
+             "--max-insertions", max_insertions],
             ["convert", "--from", from_scheme, "--to", to_scheme],
         ):
             code, _, err = run_quietly(argv)

@@ -194,3 +194,10 @@ class TestManifestIO:
         save_manifest(manifest, path)
         loaded = load_manifest(path)
         assert loaded.entries == manifest.entries
+
+    def test_input_seed_is_ignored(self, tmp_path):
+        # No command reads a manifest's seed: split records its own --seed.
+        path = tmp_path / "manifest.json"
+        path.write_text('{"seed": [1, "x"], "entries": [{"page": "p.xml", "transcript": "t.txt"}]}',
+                        "utf-8")
+        assert load_manifest(path).seed is None

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from otkit import lm
+from otkit import lm, romanizer
 from otkit.romanizer import (
     _ARCHIPHONEMES,
     INSERTION_PENALTY,
@@ -27,7 +27,7 @@ from otkit.romanizer import (
 )
 from otkit.scheme import UnknownLetter, load_table
 
-WIDE = GenLimits(beam_width=5000, max_candidates=5000)
+WIDE = GenLimits(max_candidates=5000)
 OT_LETTERS = sorted(load_table().ot_to_latin)
 STEMS = ["ol", "gel", "üç", "kapı", "göz", "su", "ev", "kitap", "iki", "amele", "hoca", "at",
          "kız", "gül"]
@@ -55,60 +55,56 @@ class TestOTWord:
 
 
 def _reference_generate(word, table, limits=GenLimits()):
-    """The generator as a full sort of every extension at every letter: the
-    definition of the beam that generate_candidates prunes exactly."""
+    """The generator as exhaustive enumeration of every reading that scores at
+    least a floor, each at its best score, fully sorted and cut at
+    max_candidates. No step raises a score (weights and the insertion penalty
+    are at most 1), so a partial reading under the floor has no reading over
+    it. The floor halves until more than max_candidates readings reach it, or
+    reaches 0 and every reading is in: either way the top ones are exact.
+    Enumerating every reading at once would not do: ا + 5 x ك at three
+    insertions has some 47 million."""
     max_ins = limits.insertions_for(word)
-    truncated = False
 
-    # beam state: (surface, score, insertions_used)
-    beam: list[tuple[str, float, int]] = [("", 1.0, 0)]
-    for i in range(len(word.letters)):
-        alternatives = _letter_alternatives(word, i, table)
-        next_beam = []
-        for surface, score, used in beam:
-            for alt_index, alt in enumerate(alternatives):
-                weight = 1.0 / (1 + alt_index)
-                # epenthesis between two consonant realizations
-                if (
-                    used < max_ins
-                    and surface
-                    and not _is_vowel(surface[-1])
-                    and alt
-                    and not _is_vowel(alt[0])
-                ):
-                    for vowel in table.mt_vowels:
-                        next_beam.append(
-                            (surface + vowel + alt, score * INSERTION_PENALTY * weight, used + 1)
-                        )
-                next_beam.append((surface + alt, score * weight, used))
-        next_beam.sort(key=lambda s: (-s[1], s[0]))
-        if len(next_beam) > limits.beam_width:
-            truncated = True
-            next_beam = next_beam[: limits.beam_width]
-        beam = next_beam
+    def can_insert(surface, used):
+        return used < max_ins and surface and not _is_vowel(surface[-1])
 
-    finished = [(surface, score) for surface, score, _ in beam]
-    for surface, score, used in beam:
-        if used < max_ins and surface and not _is_vowel(surface[-1]):
-            for vowel in table.mt_vowels:
-                finished.append((surface + vowel, score * INSERTION_PENALTY))
+    def walk(i, surface, score, used, floor, best):
+        if score < floor:
+            return
+        if i == len(word.letters):
+            endings = [("", score)]
+            if can_insert(surface, used):
+                endings += [(vowel, score * INSERTION_PENALTY) for vowel in table.mt_vowels]
+            for ending, final in endings:
+                if final >= floor and final > best.get(surface + ending, 0.0):
+                    best[surface + ending] = final
+            return
+        for alt_index, alt in enumerate(_letter_alternatives(word, i, table)):
+            weight = 1.0 / (1 + alt_index)
+            # epenthesis between two consonant realizations
+            if can_insert(surface, used) and alt and not _is_vowel(alt[0]):
+                for vowel in table.mt_vowels:
+                    walk(i + 1, surface + vowel + alt, score * INSERTION_PENALTY * weight,
+                         used + 1, floor, best)
+            walk(i + 1, surface + alt, score * weight, used, floor, best)
 
-    best: dict[str, float] = {}
-    for surface, score in finished:
-        if surface not in best or score > best[surface]:
-            best[surface] = score
+    floor = 1.0
+    while True:
+        best: dict[str, float] = {}
+        walk(0, "", 1.0, 0, floor, best)
+        if len(best) > limits.max_candidates or floor == 0.0:
+            break
+        floor = floor / 2 if floor > 1e-12 else 0.0
     ordered = sorted(best.items(), key=lambda s: (-s[1], s[0]))
-    if len(ordered) > limits.max_candidates:
-        truncated = True
-        ordered = ordered[: limits.max_candidates]
-    candidates = tuple(Candidate(surface=s, gen_score=score) for s, score in ordered)
-    return GenerationResult(candidates, truncated)
+    candidates = tuple(
+        Candidate(surface=s, gen_score=score) for s, score in ordered[: limits.max_candidates]
+    )
+    return GenerationResult(candidates, len(ordered) > limits.max_candidates)
 
 
 _LIMITS = st.builds(
     GenLimits,
     max_insertions=st.none() | st.integers(0, 3),
-    beam_width=st.integers(1, 8) | st.just(500),
     max_candidates=st.integers(1, 8) | st.just(50),
 )
 
@@ -155,11 +151,11 @@ class TestGenerateCandidates:
         ).map("".join),
         limits=_LIMITS,
     )
-    @example(text="عمله", limits=GenLimits(beam_width=4))  # cut inside a tie group
-    @example(text="عمله", limits=GenLimits(beam_width=4, max_candidates=4))
+    @example(text="عمله", limits=GenLimits(max_candidates=4))  # cut inside a tie group
     # All 289 readings, "bovu" among them both as b+(o)v+u at 1/6 and as
     # b+o+v+(u) at 1/4
     @example(text="بوو", limits=GenLimits(max_candidates=500))
+    @example(text="كوكرجين", limits=GenLimits(max_insertions=2))
     @example(text="كوكرجين", limits=GenLimits())
     def test_ranking_matches_full_sort(self, table, text, limits):
         # Same readings in the same order, bit-equal scores, same truncation.
@@ -174,9 +170,25 @@ class TestGenerateCandidates:
 
     def test_truncation_recorded_not_raised(self, table):
         word = OTWord.from_text("عمله", table)
-        result = generate_candidates(word, table, GenLimits(beam_width=4, max_candidates=4))
+        result = generate_candidates(word, table, GenLimits(max_candidates=4))
         assert result.truncated
         assert len(result.candidates) == 4
+
+    def test_beam_stays_near_max_candidates_on_ties(self, table, monkeypatch):
+        # 15 x b: each inserted vowel gives eight readings at one score, so the
+        # beam's tie groups are wide. Record the longest list that is sorted.
+        sizes = []
+        rank = romanizer._rank
+
+        def recording_rank(states):
+            sizes.append(len(states))
+            rank(states)
+
+        monkeypatch.setattr(romanizer, "_rank", recording_rank)
+        result = generate_candidates(OTWord.from_text("ب" * 15, table), table)
+        assert max(sizes) <= 1100
+        assert len(result.candidates) == 50
+        assert result.truncated
 
     def test_deterministic(self, table):
         word = OTWord.from_text("عمله", table)
