@@ -14,7 +14,7 @@ import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
@@ -210,15 +210,28 @@ def _rank(states: list) -> None:
     states.sort(key=itemgetter(1), reverse=True)
 
 
-def _cutoff(counts: dict[float, int], width: int) -> float:
-    """The least score the `width` best items reach, given how many items
-    have each score; -inf when there are no more than `width` items."""
-    kept = 0
-    for score in sorted(counts, reverse=True):
-        kept += counts[score]
-        if kept >= width:
-            return score
-    return -math.inf
+def _extend(parents: list, alternatives: list, vowels: tuple[str, ...], cutoff: float) -> list:
+    """The parents' extensions by one step that score at least `cutoff`, one
+    per surface at its best score, ranked. Equal surfaces after one letter
+    have used equally many insertions (each alternative but hamza's empty one
+    is one character), and after the word end none remain to use, so the best
+    of them stands for all."""
+    states = []
+    for surface, score, used, can_insert in parents:
+        if score < cutoff:
+            break  # weights are at most 1: no later state reaches the cutoff
+        for weight, alt, before_consonant in alternatives:
+            if can_insert and before_consonant:
+                inserted = score * INSERTION_PENALTY * weight
+                if inserted >= cutoff:
+                    states.extend((surface + v + alt, inserted, used + 1) for v in vowels)
+            extended = score * weight
+            if extended >= cutoff:
+                states.append((surface + alt, extended, used))
+    states.sort(key=itemgetter(1))  # worst first: the best of equal surfaces is kept
+    states = list(dict(zip(map(itemgetter(0), states), states)).values())
+    _rank(states)
+    return states
 
 
 def generate_candidates(
@@ -230,24 +243,31 @@ def generate_candidates(
     insert epenthetic vowels between adjacent consonant realizations or after a
     word-final consonant, bounded by the insertion budget.
 
-    The beam keeps, per letter, every partial reading that scores at least
-    the K-th best, K = max_candidates, ties included. No top-K reading is
+    The search takes a step per letter and a last one that may add a vowel
+    after a final consonant. After each step it keeps one state per surface,
+    at its best score, down to the highest score that more than
+    K = max_candidates of them reach, ties included. No top-K reading is
     lost: first alternatives weigh 1 and a reading may end as it is, so
-    distinct partial readings complete distinctly at their own scores.
-    Extensions are counted per score first; only those at the cutoff are built.
+    K + 1 kept surfaces complete to K + 1 distinct readings at or above the
+    cutoff, and a dropped state's readings all score below it. Keeping more
+    than K surfaces also shows that more than K readings exist. Extensions
+    are counted per score first; only those at the cutoff are built.
     """
     max_ins = limits.insertions_for(word)
     vowels = table.mt_vowels
     truncated = False
-
-    # beam state: (surface, score, insertions_used), best first
-    beam: list[tuple[str, float, int]] = [("", 1.0, 0)]
-    for i in range(len(word.letters)):
-        # (weight, alternative, whether a vowel may be inserted before it)
-        alternatives = [
+    # Per step: (weight, alternative, whether a vowel may be inserted before it)
+    steps = [
+        [
             (1.0 / (1 + alt_index), alt, bool(alt) and not _is_vowel(alt[0]))
             for alt_index, alt in enumerate(_letter_alternatives(word, i, table))
         ]
+        for i in range(len(word.letters))
+    ] + [[(1.0, "", True)]]
+
+    # beam state: (surface, score, insertions_used), best first
+    beam: list[tuple[str, float, int]] = [("", 1.0, 0)]
+    for alternatives in steps:
         # A vowel may be inserted after a consonant while the budget lasts.
         parents = [
             (surface, score, used, used < max_ins and bool(surface) and not _is_vowel(surface[-1]))
@@ -259,48 +279,20 @@ def generate_candidates(
                 if can_insert and before_consonant:
                     counts[score * INSERTION_PENALTY * weight] += n * len(vowels)
                 counts[score * weight] += n
-        if sum(counts.values()) > limits.max_candidates:
+        # The count of states bounds the count of surfaces, which is known
+        # once they are built: one surface can be reached two ways.
+        levels = sorted(counts, reverse=True)
+        for cutoff, reached in zip(levels, accumulate(counts[level] for level in levels)):
+            if reached > limits.max_candidates or cutoff == levels[-1]:
+                beam = _extend(parents, alternatives, vowels, cutoff)
+                if len(beam) > limits.max_candidates:
+                    break
+        if len(beam) > limits.max_candidates:
             truncated = True
-        cutoff = _cutoff(counts, limits.max_candidates)
 
-        beam = []
-        for surface, score, used, can_insert in parents:
-            if score < cutoff:
-                break  # weights are at most 1: no later state reaches the cutoff
-            for weight, alt, before_consonant in alternatives:
-                if can_insert and before_consonant:
-                    inserted = score * INSERTION_PENALTY * weight
-                    if inserted >= cutoff:
-                        beam.extend((surface + v + alt, inserted, used + 1) for v in vowels)
-                extended = score * weight
-                if extended >= cutoff:
-                    beam.append((surface + alt, extended, used))
-        _rank(beam)
-
-    # Whole-word readings: each state as it is, or with a vowel after its
-    # final consonant. They are taken a score at a time, best first, until
-    # more than max_candidates distinct readings are in: no later reading can
-    # rank among those, and a reading first seen has its best score.
-    as_is = [(surface, score, ("",)) for surface, score, _ in beam]
-    with_vowel = [
-        (surface, score * INSERTION_PENALTY, vowels)
-        for surface, score, used in beam
-        if used < max_ins and surface and not _is_vowel(surface[-1])
-    ]
-    best: dict[str, float] = {}
-    by_score = sorted(as_is + with_vowel, key=itemgetter(1), reverse=True)
-    for score, group in groupby(by_score, itemgetter(1)):
-        if len(best) > limits.max_candidates:
-            break
-        for surface, _, endings in group:
-            for ending in endings:
-                best.setdefault(surface + ending, score)
-    if len(best) > limits.max_candidates:
-        truncated = True
-    ordered = list(best.items())
-    _rank(ordered)
-    del ordered[limits.max_candidates :]
-    candidates = tuple(Candidate(surface=s, gen_score=score) for s, score in ordered)
+    candidates = tuple(
+        Candidate(surface=s, gen_score=score) for s, score, _ in beam[: limits.max_candidates]
+    )
     return GenerationResult(candidates, truncated)
 
 

@@ -155,6 +155,9 @@ class TestGenerateCandidates:
     # All 289 readings, "bovu" among them both as b+(o)v+u at 1/6 and as
     # b+o+v+(u) at 1/4
     @example(text="بوو", limits=GenLimits(max_candidates=500))
+    # "bovok" is built twice after four letters, as b+o+v+(o)k and as
+    # b+(o)v+o+k: 107 states reach the 107th best score but hold 106 surfaces
+    @example(text="بووكع", limits=GenLimits(max_insertions=1, max_candidates=107))
     @example(text="كوكرجين", limits=GenLimits(max_insertions=2))
     @example(text="كوكرجين", limits=GenLimits())
     def test_ranking_matches_full_sort(self, table, text, limits):
